@@ -52,6 +52,24 @@ fn bench_maps(c: &mut Criterion) {
         });
     });
 
+    // The two paths of a HAMT update: with no clone held every node on the
+    // path is edited in place; a clone taken first forces the path to be
+    // copied (the snapshot is dropped only after the insert).
+    group.bench_function("hamt_insert_unique", |b| {
+        b.iter(|| {
+            key = (key + 37) % 10_000;
+            hamt.insert(key, key)
+        });
+    });
+    group.bench_function("hamt_insert_after_snapshot", |b| {
+        b.iter(|| {
+            key = (key + 37) % 10_000;
+            let snapshot = hamt.clone();
+            hamt.insert(key, key);
+            snapshot
+        });
+    });
+
     // The property everything hinges on: snapshots are O(1) regardless of
     // size.
     let snap_map = SnapMap::new();

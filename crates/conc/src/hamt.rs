@@ -1,9 +1,15 @@
-//! A persistent (immutable, structurally-shared) hash array mapped trie.
+//! A persistent (structurally-shared) hash array mapped trie.
 //!
-//! This is the functional core under [`SnapMap`](crate::SnapMap): because
-//! every update returns a new root that shares almost all structure with
-//! the old one, taking a snapshot of the concurrent map is O(1) — exactly
-//! the property the paper's `LazyTrieMap` needs from Scala's `TrieMap`.
+//! This is the functional core under [`SnapMap`](crate::SnapMap): a clone
+//! shares the whole trie, so taking a snapshot of the concurrent map is
+//! O(1) — exactly the property the paper's `LazyTrieMap` needs from
+//! Scala's `TrieMap`.
+//!
+//! Updates follow the `Arc::make_mut` idiom: a node on the key's path is
+//! edited in place while this map is its only owner, and copied at the
+//! first node another clone shares. A copy bumps every child's count, so
+//! the rest of the path is copied too. No clone ever sees an update made
+//! after it was taken.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
@@ -16,6 +22,7 @@ const FANOUT: u32 = 1 << BITS; // 32
 const MASK: u64 = (FANOUT - 1) as u64;
 const MAX_SHIFT: u32 = 60; // 64 bits of hash / 5 bits per level, floored to a multiple of 5
 
+#[derive(Clone)]
 enum Node<K, V> {
     Leaf {
         hash: u64,
@@ -52,9 +59,10 @@ fn child_slot(bitmap: u32, bit: u32) -> usize {
 
 /// A persistent hash map with O(1) clone.
 ///
-/// All operations return new maps (or mutate `self` by swapping in a new
-/// root); existing clones are unaffected. `K` and `V` are cloned only along
-/// the rebuilt path, so updates are O(log n) allocations.
+/// Updates never affect existing clones. Nodes this map owns alone are
+/// edited in place; nodes shared with a clone are copied along the key's
+/// path. An update after a clone costs O(log n) allocations; one with no
+/// clone held allocates only for the entries it adds.
 ///
 /// # Examples
 ///
@@ -137,8 +145,15 @@ where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
+        self.find(self.hash_of(key), key)
+    }
+
+    fn find<Q>(&self, hash: u64, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let mut node = self.root.as_deref()?;
-        let hash = self.hash_of(key);
         let mut shift = 0;
         loop {
             match node {
@@ -175,11 +190,13 @@ where
     /// Insert a key/value pair, returning the previous value if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let hash = self.hash_of(&key);
-        let (new_root, old) = match &self.root {
-            None => (Arc::new(Node::Leaf { hash, key, value }), None),
-            Some(root) => insert_node(root, hash, key, value, 0),
+        let old = match &mut self.root {
+            Some(root) => insert_at(root, hash, key, value, 0),
+            None => {
+                self.root = Some(Arc::new(Node::Leaf { hash, key, value }));
+                None
+            }
         };
-        self.root = Some(new_root);
         if old.is_none() {
             self.len += 1;
         }
@@ -193,13 +210,15 @@ where
         Q: Hash + Eq + ?Sized,
     {
         let hash = self.hash_of(key);
-        let root = self.root.as_ref()?;
-        let (new_root, old) = remove_node(root, hash, key, 0);
-        if old.is_some() {
-            self.root = new_root;
-            self.len -= 1;
+        // Look first, so that a miss never copies a shared path.
+        self.find(hash, key)?;
+        let root = self.root.as_mut()?;
+        let (old, emptied) = remove_at(root, hash, key, 0);
+        if emptied {
+            self.root = None;
         }
-        old
+        self.len -= 1;
+        Some(old)
     }
 
     /// Iterate over entries in unspecified order.
@@ -224,72 +243,49 @@ where
     }
 }
 
-fn insert_node<K, V>(
-    node: &Arc<Node<K, V>>,
-    hash: u64,
-    key: K,
-    value: V,
-    shift: u32,
-) -> (Arc<Node<K, V>>, Option<V>)
+/// Insert below `node`, editing in place the nodes this map owns alone.
+/// `Arc::make_mut` copies a shared node first, and with it the rest of
+/// the path (see the module docs), so nodes a clone can reach are never
+/// written.
+fn insert_at<K, V>(node: &mut Arc<Node<K, V>>, hash: u64, key: K, value: V, shift: u32) -> Option<V>
 where
     K: Hash + Eq + Clone,
     V: Clone,
 {
+    // A leaf or collision that `key` does not belong to is not edited: it
+    // joins `key` in a new collision or moves down under a new branch.
     match node.as_ref() {
-        Node::Leaf { hash: h, key: k, value: v } => {
-            if *h == hash && *k == key {
-                return (Arc::new(Node::Leaf { hash, key, value }), Some(v.clone()));
-            }
-            if *h == hash {
-                return (
-                    Arc::new(Node::Collision {
-                        hash,
-                        entries: vec![(k.clone(), v.clone()), (key, value)],
-                    }),
-                    None,
-                );
-            }
-            let merged = merge_leaves(
-                Arc::clone(node),
-                *h,
-                Arc::new(Node::Leaf { hash, key, value }),
-                hash,
-                shift,
-            );
-            (merged, None)
+        Node::Leaf { hash: h, key: k, value: v } if *h == hash && *k != key => {
+            let entries = vec![(k.clone(), v.clone()), (key, value)];
+            *node = Arc::new(Node::Collision { hash, entries });
+            return None;
         }
-        Node::Collision { hash: h, entries } => {
-            if *h == hash {
-                let mut entries = entries.clone();
-                if let Some(slot) = entries.iter_mut().find(|(k, _)| *k == key) {
-                    let old = std::mem::replace(&mut slot.1, value);
-                    return (Arc::new(Node::Collision { hash, entries }), Some(old));
-                }
-                entries.push((key, value));
-                return (Arc::new(Node::Collision { hash, entries }), None);
+        Node::Leaf { hash: h, .. } | Node::Collision { hash: h, .. } if *h != hash => {
+            let h = *h;
+            let leaf = Arc::new(Node::Leaf { hash, key, value });
+            *node = merge_leaves(Arc::clone(node), h, leaf, hash, shift);
+            return None;
+        }
+        _ => {}
+    }
+    match Arc::make_mut(node) {
+        Node::Leaf { value: v, .. } => Some(std::mem::replace(v, value)),
+        Node::Collision { entries, .. } => {
+            if let Some(slot) = entries.iter_mut().find(|(k, _)| *k == key) {
+                return Some(std::mem::replace(&mut slot.1, value));
             }
-            let merged = merge_leaves(
-                Arc::clone(node),
-                *h,
-                Arc::new(Node::Leaf { hash, key, value }),
-                hash,
-                shift,
-            );
-            (merged, None)
+            entries.push((key, value));
+            None
         }
         Node::Branch { bitmap, children } => {
             let (_, bit) = index_bit(hash, shift);
             let slot = child_slot(*bitmap, bit);
-            if bitmap & bit != 0 {
-                let (child, old) =
-                    insert_node(&children[slot], hash, key, value, (shift + BITS).min(MAX_SHIFT));
-                let mut children = children.clone();
-                children[slot] = child;
-                (Arc::new(Node::Branch { bitmap: *bitmap, children }), old)
+            if *bitmap & bit != 0 {
+                insert_at(&mut children[slot], hash, key, value, (shift + BITS).min(MAX_SHIFT))
             } else {
-                let mut children = children.clone();
                 children.insert(slot, Arc::new(Node::Leaf { hash, key, value }));
-                (Arc::new(Node::Branch { bitmap: bitmap | bit, children }), None)
+                *bitmap |= bit;
+                None
             }
         }
     }
@@ -316,76 +312,48 @@ fn merge_leaves<K, V>(
     }
 }
 
-fn remove_node<K, V, Q>(
-    node: &Arc<Node<K, V>>,
-    hash: u64,
-    key: &Q,
-    shift: u32,
-) -> (Option<Arc<Node<K, V>>>, Option<V>)
+/// Remove `key`, which must be present below `node`, editing in place
+/// as [`insert_at`] does. Returns the value and whether `node` itself is
+/// now empty, in which case the caller unlinks it.
+fn remove_at<K, V, Q>(node: &mut Arc<Node<K, V>>, hash: u64, key: &Q, shift: u32) -> (V, bool)
 where
     K: Hash + Eq + Clone + Borrow<Q>,
     V: Clone,
     Q: Hash + Eq + ?Sized,
 {
-    match node.as_ref() {
-        Node::Leaf { hash: h, key: k, value } => {
-            if *h == hash && k.borrow() == key {
-                (None, Some(value.clone()))
-            } else {
-                (Some(Arc::clone(node)), None)
-            }
-        }
-        Node::Collision { hash: h, entries } => {
-            if *h != hash {
-                return (Some(Arc::clone(node)), None);
-            }
-            let Some(pos) = entries.iter().position(|(k, _)| k.borrow() == key) else {
-                return (Some(Arc::clone(node)), None);
-            };
-            let mut entries = entries.clone();
+    // The key is present, so a leaf on its path is its own leaf.
+    if let Node::Leaf { value, .. } = node.as_ref() {
+        return (value.clone(), true);
+    }
+    let inner = Arc::make_mut(node);
+    match inner {
+        Node::Leaf { .. } => unreachable!("leaves are handled above"),
+        Node::Collision { entries, .. } => {
+            let pos = entries.iter().position(|(k, _)| k.borrow() == key).expect("key is present");
             let (_, old) = entries.remove(pos);
-            let replacement = if entries.len() == 1 {
-                let (k, v) = entries.pop().expect("collision retains one entry");
-                Arc::new(Node::Leaf { hash, key: k, value: v })
-            } else {
-                Arc::new(Node::Collision { hash, entries })
-            };
-            (Some(replacement), Some(old))
+            if entries.len() == 1 {
+                let (key, value) = entries.pop().expect("collision retains one entry");
+                *inner = Node::Leaf { hash, key, value };
+            }
+            (old, false)
         }
         Node::Branch { bitmap, children } => {
             let (_, bit) = index_bit(hash, shift);
-            if bitmap & bit == 0 {
-                return (Some(Arc::clone(node)), None);
-            }
             let slot = child_slot(*bitmap, bit);
-            let (new_child, old) =
-                remove_node(&children[slot], hash, key, (shift + BITS).min(MAX_SHIFT));
-            if old.is_none() {
-                return (Some(Arc::clone(node)), None);
-            }
-            match new_child {
-                Some(child) => {
-                    // Collapse a branch that holds a single non-branch child.
-                    if children.len() == 1 && !child.is_branch() {
-                        return (Some(child), old);
-                    }
-                    let mut children = children.clone();
-                    children[slot] = child;
-                    (Some(Arc::new(Node::Branch { bitmap: *bitmap, children })), old)
+            let (old, emptied) =
+                remove_at(&mut children[slot], hash, key, (shift + BITS).min(MAX_SHIFT));
+            if emptied {
+                if children.len() == 1 {
+                    return (old, true);
                 }
-                None => {
-                    if children.len() == 1 {
-                        return (None, old);
-                    }
-                    let mut children = children.clone();
-                    children.remove(slot);
-                    let bitmap = bitmap & !bit;
-                    if children.len() == 1 && !children[0].is_branch() {
-                        return (Some(children.pop().expect("one child left")), old);
-                    }
-                    (Some(Arc::new(Node::Branch { bitmap, children })), old)
-                }
+                children.remove(slot);
+                *bitmap &= !bit;
             }
+            // Collapse a branch that holds a single non-branch child.
+            if children.len() == 1 && !children[0].is_branch() {
+                *node = children.pop().expect("one child left");
+            }
+            (old, false)
         }
     }
 }

@@ -3,10 +3,11 @@
 //! [`SnapMap`] plays the role of Scala's `concurrent.TrieMap` in the
 //! paper: a linearizable concurrent map whose `snapshot` operation is
 //! constant-time. Internally it keeps a persistent [`Hamt`](crate::Hamt)
-//! behind a reader/writer lock; mutations swap in a new structurally-shared
-//! root, so a snapshot is just a clone of the current root (two `Arc`
-//! bumps). See DESIGN.md for why this substitution preserves the behaviour
-//! the Proust wrappers rely on.
+//! behind a reader/writer lock. A snapshot clones the root under the read
+//! lock (one `Arc` bump). Mutations run under the write lock and edit the
+//! trie in place where no snapshot shares it, copying only the path a
+//! live snapshot can still see. See DESIGN.md (§2, §18) for why this
+//! substitution preserves the behaviour the Proust wrappers rely on.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -118,6 +119,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -185,5 +188,62 @@ mod tests {
                 assert_eq!(snap.get(&0), snap.get(&1));
             }
         });
+    }
+
+    #[test]
+    fn snapshots_stay_frozen_across_later_commits() {
+        // Commits edit the root in place whenever no snapshot holds it, so
+        // a snapshot must keep the contents it had when it was taken while
+        // the writer goes on committing.
+        let map = SnapMap::new();
+        let commits = AtomicU32::new(0);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut i = 0u32;
+                while !done.load(Ordering::Acquire) {
+                    map.update_root(|m| {
+                        m.insert(i % 97, i);
+                        m.remove(&(i.wrapping_mul(7) % 97));
+                    });
+                    i += 1;
+                    commits.store(i, Ordering::Release);
+                }
+            });
+            // Stop the writer even if an assertion below panics, so a
+            // failure reports instead of hanging the scope's join.
+            let _stop = StopOnDrop(&done);
+            let mut held = VecDeque::new();
+            for _ in 0..500 {
+                let snap = map.snapshot();
+                let seen = sorted(&snap);
+                held.push_back((snap, seen));
+                if held.len() > 8 {
+                    held.pop_front();
+                }
+                // Re-read only after at least one more commit has landed.
+                let taken_at = commits.load(Ordering::Acquire);
+                while commits.load(Ordering::Acquire) == taken_at {
+                    std::thread::yield_now();
+                }
+                for (snap, seen) in &held {
+                    assert_eq!(&sorted(snap), seen, "a snapshot changed after it was taken");
+                }
+            }
+        });
+    }
+
+    struct StopOnDrop<'a>(&'a AtomicBool);
+
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    fn sorted(map: &Hamt<u32, u32>) -> Vec<(u32, u32)> {
+        let mut entries: Vec<_> = map.iter().map(|(k, v)| (*k, *v)).collect();
+        entries.sort_unstable();
+        entries
     }
 }

@@ -3,6 +3,7 @@
 //! sequences, and snapshots must be immune to later mutation.
 
 use std::collections::{BTreeMap, BinaryHeap};
+use std::hash::{BuildHasher, Hasher};
 
 use proptest::prelude::*;
 use proust_conc::{Hamt, PairingHeap, SnapMap};
@@ -22,8 +23,114 @@ fn map_op() -> impl Strategy<Value = MapOp> {
     ]
 }
 
+/// An update stream interleaved with taking and releasing clones.
+#[derive(Debug, Clone)]
+enum CloneOp {
+    Insert(u16, u32),
+    Remove(u16),
+    /// Take a clone and keep it.
+    Take,
+    /// Drop the held clone at this index (modulo the number held).
+    Release(usize),
+}
+
+fn clone_op() -> impl Strategy<Value = CloneOp> {
+    prop_oneof![
+        4 => (any::<u16>(), any::<u32>()).prop_map(|(k, v)| CloneOp::Insert(k % 64, v)),
+        3 => any::<u16>().prop_map(|k| CloneOp::Remove(k % 64)),
+        1 => Just(CloneOp::Take),
+        1 => any::<usize>().prop_map(CloneOp::Release),
+    ]
+}
+
+/// Hashes a key to one of `buckets` values that agree on their low 40
+/// bits. `buckets == 1` makes every key collide; a few buckets give deep
+/// single-child branch chains over collision nodes, which `remove`
+/// collapses again.
+#[derive(Clone)]
+struct Coarse {
+    buckets: u64,
+}
+
+struct CoarseHasher {
+    buckets: u64,
+    acc: u64,
+}
+
+impl Hasher for CoarseHasher {
+    fn finish(&self) -> u64 {
+        (self.acc % self.buckets) << 40
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.acc = self.acc.wrapping_mul(31).wrapping_add(u64::from(b));
+        }
+    }
+}
+
+impl BuildHasher for Coarse {
+    type Hasher = CoarseHasher;
+    fn build_hasher(&self) -> CoarseHasher {
+        CoarseHasher { buckets: self.buckets, acc: 0 }
+    }
+}
+
+fn contents<S: BuildHasher>(map: &Hamt<u16, u32, S>) -> BTreeMap<u16, u32> {
+    map.iter().map(|(k, v)| (*k, *v)).collect()
+}
+
+/// Run `ops` on a map while holding clones taken at random points. No
+/// update may reach a node a held clone can see, so each clone must still
+/// equal the model captured when it was taken.
+fn held_clones_stay_frozen<S: BuildHasher + Clone>(
+    hasher: S,
+    ops: Vec<CloneOp>,
+) -> Result<(), TestCaseError> {
+    let mut hamt: Hamt<u16, u32, S> = Hamt::with_hasher(hasher);
+    let mut model: BTreeMap<u16, u32> = BTreeMap::new();
+    let mut held = Vec::new();
+    for op in ops {
+        match op {
+            CloneOp::Insert(k, v) => prop_assert_eq!(hamt.insert(k, v), model.insert(k, v)),
+            CloneOp::Remove(k) => prop_assert_eq!(hamt.remove(&k), model.remove(&k)),
+            CloneOp::Take => held.push((hamt.clone(), model.clone())),
+            CloneOp::Release(i) => {
+                if !held.is_empty() {
+                    let (clone, taken) = held.swap_remove(i % held.len());
+                    prop_assert_eq!(contents(&clone), taken);
+                }
+            }
+        }
+        prop_assert_eq!(hamt.len(), model.len());
+    }
+    prop_assert_eq!(contents(&hamt), model);
+    for (clone, taken) in &held {
+        prop_assert_eq!(clone.len(), taken.len());
+        prop_assert_eq!(&contents(clone), taken);
+        for (k, v) in taken {
+            prop_assert_eq!(clone.get(k), Some(v));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn hamt_held_clones_survive_in_place_updates(
+        ops in prop::collection::vec(clone_op(), 0..300)
+    ) {
+        held_clones_stay_frozen(std::collections::hash_map::RandomState::new(), ops)?;
+    }
+
+    #[test]
+    fn hamt_held_clones_survive_in_place_updates_colliding(
+        ops in prop::collection::vec(clone_op(), 0..300)
+    ) {
+        held_clones_stay_frozen(Coarse { buckets: 1 }, ops.clone())?;
+        held_clones_stay_frozen(Coarse { buckets: 3 }, ops)?;
+    }
 
     #[test]
     fn hamt_agrees_with_btreemap(ops in prop::collection::vec(map_op(), 0..200)) {

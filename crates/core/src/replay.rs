@@ -23,7 +23,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use proust_conc::{
@@ -113,11 +112,7 @@ where
 
 /// One logged speculative operation, replayed against the live structure
 /// at commit.
-type LoggedOp<P> = Rc<dyn Fn(&mut P)>;
-
-/// A speculative operation that also produces a return value when run
-/// against the shadow copy.
-type SpeculativeOp<P, R> = Rc<dyn Fn(&mut P) -> R>;
+type LoggedOp<P> = Box<dyn Fn(&mut P)>;
 
 struct SnapshotState<P> {
     shadow: Option<P>,
@@ -189,7 +184,7 @@ impl<S: SnapshotSource + 'static> SnapshotReplay<S> {
     /// Apply a speculative update: snapshots the live structure on first
     /// use, runs `op` against the shadow copy, logs it for commit-time
     /// replay, and returns its result.
-    pub fn update<R: 'static>(&self, tx: &mut Txn, op: impl Fn(&mut S::Snap) -> R + 'static) -> R {
+    pub fn update<R>(&self, tx: &mut Txn, op: impl Fn(&mut S::Snap) -> R + 'static) -> R {
         let cell = self.local.get(tx);
         let mut state = cell.borrow_mut();
         if state.shadow.is_none() {
@@ -206,11 +201,9 @@ impl<S: SnapshotSource + 'static> SnapshotReplay<S> {
                 });
             });
         }
-        let op: SpeculativeOp<S::Snap, R> = Rc::new(op);
         let result = op(state.shadow.as_mut().expect("shadow was just ensured"));
-        let replayed = Rc::clone(&op);
-        state.ops.push(Rc::new(move |shared: &mut S::Snap| {
-            replayed(shared);
+        state.ops.push(Box::new(move |shared: &mut S::Snap| {
+            op(shared);
         }));
         result
     }

@@ -667,7 +667,7 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicBool;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn wakeup_rouses_a_parked_poller() {
@@ -845,6 +845,12 @@ mod tests {
         assert_eq!(&reply, b"hello\n");
 
         assert!(fills_timed.load(Ordering::Relaxed) > 0, "fill was not timed");
+        // on_flushed fires only after write(2) returns, so the echo can
+        // reach the client before the shard thread bumps the counter.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while flushes.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert!(flushes.load(Ordering::Relaxed) > 0, "on_flushed never fired");
 
         stop.store(true, Ordering::Release);

@@ -24,7 +24,7 @@ pub struct RunResult {
     /// run, not cumulative runtime totals).
     pub stats: StmStatsSnapshot,
     /// Latency histograms and conflict attribution accumulated during the
-    /// execution (empty without the `trace` feature).
+    /// execution.
     pub metrics: StmMetrics,
     /// How many transactions exhausted their retry budget (livelock
     /// indicator; the paper *hung* in this regime — we count it instead).
@@ -55,7 +55,7 @@ pub struct CellMeasurement {
     /// conflict counters drive the report's abort-cause breakdown.
     pub stats: StmStatsSnapshot,
     /// Merged latency histograms and conflict attribution across timed
-    /// executions (empty without the `trace` feature).
+    /// executions.
     pub metrics: StmMetrics,
 }
 
@@ -254,7 +254,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn run_once_captures_metrics_for_the_run() {
         let (stm, map) = MapKind::ProustLazySnap.build();

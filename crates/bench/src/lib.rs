@@ -8,8 +8,7 @@
 //!   (traditional STM map, predication, the Proust configurations, and
 //!   extra baselines);
 //! * [`harness`] — warmup + timed executions with mean/stddev reporting,
-//!   plus per-run latency histograms and conflict attribution when built
-//!   with the (default) `trace` feature;
+//!   plus per-run latency histograms and conflict attribution;
 //! * [`table`] — aligned-table and CSV output;
 //! * [`report`] — the JSON report schema shared by every binary
 //!   (`--json PATH`, collected under `results/` by

@@ -23,9 +23,7 @@
 //! }
 //! ```
 //!
-//! Latency fields are nanoseconds. Without the `trace` feature the
-//! histograms and the matrix are empty; the fields still appear so
-//! downstream tooling needs no schema switch.
+//! Latency fields are nanoseconds.
 
 use proust_stm::obs::{ConflictMatrix, Histogram, JsonValue};
 use proust_stm::{StmMetrics, StmStatsSnapshot};
@@ -225,7 +223,6 @@ pub fn report_json(benchmark: &str, config: JsonValue, cells: Vec<JsonValue>) ->
         .collect();
     JsonValue::obj([
         ("benchmark", JsonValue::str(benchmark)),
-        ("trace_enabled", JsonValue::Bool(cfg!(feature = "trace"))),
         ("predicted_false_conflict_rate", JsonValue::Obj(predicted)),
         ("config", config),
         ("cells", JsonValue::Arr(cells)),

@@ -2,8 +2,6 @@
 //! tracing enabled, serialize the report cell to JSON, parse it back, and
 //! check the numbers survived the round trip.
 
-#![cfg(feature = "trace")]
-
 use proust_bench::harness::measure_cell;
 use proust_bench::maps::MapKind;
 use proust_bench::report::{cell_json, report_json};

@@ -14,7 +14,6 @@ use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-#[cfg(feature = "trace")]
 use proust_stm::obs::{EventKind, Tracer};
 use proust_stm::{CmArbitration, ConflictKind, SiteId, TxResult, Txn, TxnHandle, TxnOutcome};
 
@@ -466,9 +465,7 @@ where
                         tx.note_lock_wait(site, start.elapsed().as_nanos() as u64);
                     }
                     if new_entry {
-                        #[cfg(feature = "trace")]
                         let sampled = tx.is_sampled();
-                        #[cfg(feature = "trace")]
                         if sampled {
                             Tracer::global().emit(txn, EventKind::LockAcquire, site, slot as u64);
                         }
@@ -481,7 +478,6 @@ where
                             if let Some(timer) = hold_timer {
                                 timer.finish();
                             }
-                            #[cfg(feature = "trace")]
                             if sampled {
                                 Tracer::global().emit(
                                     txn,
@@ -674,7 +670,6 @@ mod tests {
 
     /// A blocked pessimistic acquisition must name the holder's op site as
     /// the aborter in the conflict matrix.
-    #[cfg(feature = "trace")]
     #[test]
     fn abstract_lock_conflicts_are_attributed_to_the_holder() {
         use proust_stm::SiteId;

@@ -91,9 +91,9 @@ pub use proust_stm::SiteId;
 /// .unwrap();
 /// ```
 ///
-/// With the STM's `trace` feature disabled,
-/// [`Txn::set_op_site`](proust_stm::Txn::set_op_site) is a no-op and the
-/// only residual cost is one atomic load on the cached [`SiteId`].
+/// The label is interned once per call site; after that each use costs
+/// one atomic load on the cached [`SiteId`] plus
+/// [`Txn::set_op_site`](proust_stm::Txn::set_op_site)'s relaxed store.
 #[macro_export]
 macro_rules! op_site {
     ($tx:expr, $name:literal) => {{

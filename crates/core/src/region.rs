@@ -86,12 +86,9 @@ impl StmRegion {
     /// Stamp the region label onto transactions that carry no op label of
     /// their own, so the attribution machinery has *something* to report.
     fn default_site(&self, tx: &mut Txn) {
-        #[cfg(feature = "trace")]
         if self.label != SiteId::UNKNOWN && tx.op_site() == SiteId::UNKNOWN {
             tx.set_op_site(self.label);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = tx;
     }
 
     /// Number of locations (the paper's `M`).

@@ -1,6 +1,6 @@
 //! Contention-counter consistency under injected `LockAcquire` faults
-//! (compiled only with `--features chaos,trace`; `cargo xtask chaos`
-//! runs it).
+//! (compiled only with `--features chaos`; `cargo xtask chaos` runs
+//! it).
 //!
 //! The fault injector forces spurious conflicts at the abstract-lock
 //! acquisition boundary — exactly where the contention observatory does
@@ -17,7 +17,7 @@
 //!   exceed the lock-wait time actually measured — attribution can only
 //!   charge time that was spent.
 
-#![cfg(all(feature = "chaos", feature = "trace"))]
+#![cfg(feature = "chaos")]
 
 use std::sync::Arc;
 

@@ -381,8 +381,7 @@ impl Tracer {
 
     /// Set the sampling rate: record spans for 1-in-`n` transactions.
     /// `0` disables sampling, `1` samples everything. This is a runtime
-    /// knob — unlike the `trace` cargo feature, flipping it never
-    /// requires a rebuild.
+    /// knob: flipping it never requires a rebuild.
     pub fn set_sample_every(&self, n: u64) {
         self.sample_every.store(n, Ordering::SeqCst);
     }

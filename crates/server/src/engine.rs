@@ -432,8 +432,7 @@ impl Engine {
         });
         // The flight recorder is a runtime knob on the process-global
         // tracer: always-on 1-in-N sampling at the configured default
-        // rate. Without the `trace` cargo feature in proust-stm the STM
-        // emits no spans, so enabling here is a no-op there.
+        // rate.
         let tracer = Tracer::global();
         tracer.set_sample_every(config.trace_sample);
         if config.trace_sample > 0 {
@@ -866,7 +865,7 @@ impl Engine {
         ];
         // Best effort: the thread-local record belongs to whatever
         // transaction this worker thread ran last, which is the one that
-        // was slow. Absent without the `trace` feature.
+        // was slow.
         if let Some(forensics) = proust_stm::take_forensics() {
             fields.push(("txn", forensics.to_json()));
         }
@@ -1423,11 +1422,7 @@ impl Engine {
         // Phase and contention histograms share one canonical bucket table
         // (`SHARED_NS_BUCKET_BOUNDS`), so dashboards can overlay any pair
         // of `le` series without re-bucketing.
-        w.header(
-            "proust_txn_phase_ns",
-            "Transaction phase latency (trace feature only), ns.",
-            "histogram",
-        );
+        w.header("proust_txn_phase_ns", "Transaction phase latency, ns.", "histogram");
         for (phase, hist) in [
             ("txn", &metrics.txn_latency),
             ("validation", &metrics.validation),

@@ -1148,12 +1148,8 @@ mod tests {
                 break;
             }
         }
-        // Under the trace feature (on by default here), 1-in-1 sampling
-        // must record complete ("X") per-phase spans.
-        #[cfg(feature = "trace")]
+        // 1-in-1 sampling must record complete ("X") per-phase spans.
         assert!(sampled_span, "no phase spans in any dump");
-        #[cfg(not(feature = "trace"))]
-        let _ = sampled_span;
         assert_eq!(client.roundtrip("TRACE STOP"), "OK");
         // TRACE is a control verb: rejected inside MULTI.
         assert_eq!(client.roundtrip("MULTI"), "OK");

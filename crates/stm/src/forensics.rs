@@ -1,6 +1,6 @@
 //! Slow-transaction forensics.
 //!
-//! Every `atomically` call (under the `trace` feature) leaves a compact
+//! Every `atomically` call leaves a compact
 //! post-mortem record in a thread-local slot: total attempts, elapsed
 //! time, outcome, the bounded log of conflicts it suffered (as named
 //! `(kind, aborter, victim)` site triples), and — when the call was
@@ -11,8 +11,7 @@
 //! tail-latency outlier is explainable without rerunning anything.
 //!
 //! The slot holds only the most recent call per thread; reading it is
-//! destructive. Without the `trace` feature nothing is recorded and
-//! [`take_forensics`] always returns `None`.
+//! destructive.
 
 use proust_obs::JsonValue;
 use std::cell::RefCell;
@@ -109,15 +108,13 @@ thread_local! {
 
 /// Store the record for the `atomically` call that just finished on this
 /// thread, replacing any previous one.
-#[cfg(feature = "trace")]
 pub(crate) fn record(forensics: TxnForensics) {
     LAST.with(|slot| *slot.borrow_mut() = Some(forensics));
 }
 
 /// Take the forensics record of the most recent `atomically` call on the
 /// calling thread, if any. Destructive: a second call returns `None`
-/// until another transaction finishes. Always `None` without the `trace`
-/// feature.
+/// until another transaction finishes.
 pub fn take_forensics() -> Option<TxnForensics> {
     LAST.with(|slot| slot.borrow_mut().take())
 }

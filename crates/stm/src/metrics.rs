@@ -1,12 +1,9 @@
 //! Latency histograms and conflict attribution for one runtime.
 //!
-//! Recording only happens when the crate is built with the `trace`
-//! feature; without it the structures exist (so the API is
-//! feature-independent) but stay empty. The exception is the contention
-//! group (`lock_wait`, `park`): those record always-on, because they
-//! only fire on paths that are already blocked — a thread that is
-//! spinning on someone else's ownership word or parked on the commit
-//! condvar pays nothing measurable for two extra clock reads.
+//! Every runtime records into these. The contention group
+//! (`lock_wait`, `park`) only fires on paths that are already blocked — a
+//! thread that is spinning on someone else's ownership word or parked on
+//! the commit condvar pays nothing measurable for two extra clock reads.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -11,18 +11,15 @@ use crate::clock;
 use crate::cm::ContentionManager;
 use crate::config::{RetryExhaustion, StmConfig};
 use crate::error::{AbortError, ConflictKind, TxError, TxResult};
-#[cfg(feature = "trace")]
 use crate::forensics::{self, TxnForensics};
 use crate::metrics::StmMetrics;
 use crate::stats::{StmStats, StmStatsSnapshot};
 use crate::tvar::DynTVar;
 use crate::txn::Txn;
-#[cfg(feature = "trace")]
 use proust_obs::{EventKind, Phase, SiteId, Tracer};
 
 /// Bound on the call-level conflict log accumulated for forensics across
 /// all attempts of one `atomically` call.
-#[cfg(feature = "trace")]
 const FORENSIC_CONFLICT_CAP: usize = 32;
 
 /// Block (politely) until one of the watched locations changes version or
@@ -60,9 +57,8 @@ const SERIAL_FAILURE_FLOOR: u32 = 256;
 thread_local! {
     /// Attempt count of the calling thread's most recent `atomically`
     /// call, committed or aborted. Always-on (one thread-local store per
-    /// call) — unlike forensics it does not need the `trace` feature, so
-    /// the server's request waterfall can report STM retry counts on
-    /// every build.
+    /// call), so the server's request waterfall can report STM retry
+    /// counts.
     static LAST_ATTEMPTS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
@@ -369,9 +365,6 @@ impl Stm {
     }
 
     /// The runtime's latency histograms and conflict-attribution matrix.
-    ///
-    /// Populated only when the crate is built with the `trace` feature;
-    /// empty (zero counts) otherwise.
     pub fn metrics(&self) -> &StmMetrics {
         &self.inner.metrics
     }
@@ -416,28 +409,23 @@ impl Stm {
         // so a never-succeeding body cannot hold the token forever with
         // every other transaction parked at the gate.
         let mut serial_failures: u32 = 0;
-        #[cfg(feature = "trace")]
         let txn_start = std::time::Instant::now();
         // One end-to-end sampling decision per `atomically` call: every
         // attempt of a sampled call records its phase spans, so a trace
         // shows the whole retry history of the transactions it picks.
-        #[cfg(feature = "trace")]
         let sampled = Tracer::global().sample();
-        #[cfg(not(feature = "trace"))]
-        let sampled = false;
-        #[cfg(feature = "trace")]
         let txn_start_ns = if sampled { Tracer::global().now_ns() } else { 0 };
         // Call-level forensics, accumulated across attempts.
-        #[cfg(feature = "trace")]
-        let mut call_spans: Vec<crate::forensics::ForensicSpan> = Vec::new();
-        #[cfg(feature = "trace")]
-        let mut call_conflicts: Vec<crate::forensics::ForensicConflict> = Vec::new();
-        // Closes the whole-transaction span and deposits the post-mortem
-        // record for `take_forensics`.
-        #[cfg(feature = "trace")]
+        let mut call_spans: Vec<forensics::ForensicSpan> = Vec::new();
+        let mut call_conflicts: Vec<forensics::ForensicConflict> = Vec::new();
+        // Emits the call's final event, closes the whole-transaction span
+        // and deposits the post-mortem record for `take_forensics`.
         macro_rules! finish_forensics {
-            ($tx:expr, $outcome:expr, $attempt:expr) => {{
+            ($tx:expr, $event:expr, $outcome:expr) => {{
                 let tx = &$tx;
+                if sampled {
+                    Tracer::global().emit(tx.id(), $event, tx.op_site(), attempt as u64);
+                }
                 call_spans.extend(tx.take_spans());
                 call_conflicts.extend(tx.take_conflicts());
                 call_conflicts.truncate(FORENSIC_CONFLICT_CAP);
@@ -450,7 +438,7 @@ impl Stm {
                         txn_start_ns,
                         elapsed_ns,
                     );
-                    call_spans.push(crate::forensics::ForensicSpan {
+                    call_spans.push(forensics::ForensicSpan {
                         phase: Phase::Txn.name(),
                         start_ns: txn_start_ns,
                         dur_ns: elapsed_ns,
@@ -458,7 +446,7 @@ impl Stm {
                 }
                 forensics::record(TxnForensics {
                     txn_id: tx.id(),
-                    attempts: $attempt,
+                    attempts: attempt,
                     sampled,
                     elapsed_ns,
                     outcome: $outcome,
@@ -479,15 +467,11 @@ impl Stm {
                 // The gate wait counts as a park: the thread is blocked on
                 // someone else's serial episode. Timing is always-on — we
                 // are about to sleep, so two clock reads are free.
-                #[cfg(feature = "trace")]
                 let gate_park_start_ns = Tracer::global().now_ns();
                 self.inner.serial.wait_for_clearance();
-                #[cfg(feature = "trace")]
-                {
-                    let park_ns = Tracer::global().now_ns().saturating_sub(gate_park_start_ns);
-                    self.inner.stats.record_park(park_ns);
-                    self.inner.metrics.park.record(park_ns);
-                }
+                let park_ns = Tracer::global().now_ns().saturating_sub(gate_park_start_ns);
+                self.inner.stats.record_park(park_ns);
+                self.inner.metrics.park.record(park_ns);
                 self.inner.in_flight.fetch_add(1, Ordering::AcqRel);
             }
             self.inner.stats.record_start();
@@ -499,9 +483,7 @@ impl Stm {
                 serial.is_some(),
                 sampled,
             );
-            #[cfg(feature = "trace")]
             let body_start_ns = if sampled { Tracer::global().now_ns() } else { 0 };
-            #[cfg(feature = "trace")]
             if sampled {
                 Tracer::global().emit_at(
                     body_start_ns,
@@ -512,28 +494,16 @@ impl Stm {
                 );
             }
             let body_result = body(&mut tx);
-            #[cfg(feature = "trace")]
             tx.record_span(Phase::Body, body_start_ns);
             let outcome = match body_result {
                 Ok(value) => match tx.commit() {
                     Ok(()) => {
                         self.inner.stats.record_commit();
-                        #[cfg(feature = "trace")]
-                        {
-                            self.inner
-                                .metrics
-                                .txn_latency
-                                .record(txn_start.elapsed().as_nanos() as u64);
-                            if sampled {
-                                Tracer::global().emit(
-                                    tx.id(),
-                                    EventKind::Commit,
-                                    tx.op_site(),
-                                    attempt as u64,
-                                );
-                            }
-                            finish_forensics!(tx, "committed", attempt);
-                        }
+                        self.inner
+                            .metrics
+                            .txn_latency
+                            .record(txn_start.elapsed().as_nanos() as u64);
+                        finish_forensics!(tx, EventKind::Commit, "committed");
                         LAST_ATTEMPTS.with(|cell| cell.set(attempt));
                         return Ok(value);
                     }
@@ -543,12 +513,9 @@ impl Stm {
             };
             // Accumulate this attempt's spans and conflict log before the
             // failure handling below consumes `tx`.
-            #[cfg(feature = "trace")]
-            {
-                call_spans.extend(tx.take_spans());
-                call_conflicts.extend(tx.take_conflicts());
-                call_conflicts.truncate(FORENSIC_CONFLICT_CAP);
-            }
+            call_spans.extend(tx.take_spans());
+            call_conflicts.extend(tx.take_conflicts());
+            call_conflicts.truncate(FORENSIC_CONFLICT_CAP);
             match outcome {
                 Err(TxError::Conflict(kind)) => {
                     // Conflict counters were recorded at the raise site.
@@ -575,32 +542,17 @@ impl Stm {
                         // wait: the window where a lost wakeup would hide.
                         #[cfg(feature = "chaos")]
                         crate::chaos::retry_gap();
-                        #[cfg(feature = "trace")]
                         let park_start_ns = Tracer::global().now_ns();
                         wait_for_change(&watch);
-                        #[cfg(feature = "trace")]
-                        {
-                            let park_ns = Tracer::global().now_ns().saturating_sub(park_start_ns);
-                            self.inner.stats.record_park(park_ns);
-                            self.inner.metrics.park.record(park_ns);
-                        }
+                        let park_ns = Tracer::global().now_ns().saturating_sub(park_start_ns);
+                        self.inner.stats.record_park(park_ns);
+                        self.inner.metrics.park.record(park_ns);
                         continue;
                     }
                 }
                 Err(TxError::Abort(err)) => {
                     self.inner.stats.record_user_abort();
-                    #[cfg(feature = "trace")]
-                    {
-                        if sampled {
-                            Tracer::global().emit(
-                                tx.id(),
-                                EventKind::Abort,
-                                tx.op_site(),
-                                attempt as u64,
-                            );
-                        }
-                        finish_forensics!(tx, "aborted", attempt);
-                    }
+                    finish_forensics!(tx, EventKind::Abort, "aborted");
                     tx.rollback();
                     LAST_ATTEMPTS.with(|cell| cell.set(attempt));
                     return Err(err);
@@ -623,18 +575,7 @@ impl Stm {
                 if budget.is_some_and(|budget| serial_failures >= budget) {
                     // Release the token before surfacing the abort.
                     drop(serial.take());
-                    #[cfg(feature = "trace")]
-                    {
-                        if sampled {
-                            Tracer::global().emit(
-                                tx.id(),
-                                EventKind::Abort,
-                                tx.op_site(),
-                                attempt as u64,
-                            );
-                        }
-                        finish_forensics!(tx, "exhausted", attempt);
-                    }
+                    finish_forensics!(tx, EventKind::Abort, "exhausted");
                     self.inner.stats.record_exhausted();
                     LAST_ATTEMPTS.with(|cell| cell.set(attempt));
                     return Err(AbortError::exhausted(
@@ -672,18 +613,7 @@ impl Stm {
                     continue;
                 }
                 if exhausted && self.inner.config.on_exhaustion == RetryExhaustion::GiveUp {
-                    #[cfg(feature = "trace")]
-                    {
-                        if sampled {
-                            Tracer::global().emit(
-                                tx.id(),
-                                EventKind::Abort,
-                                tx.op_site(),
-                                attempt as u64,
-                            );
-                        }
-                        finish_forensics!(tx, "exhausted", attempt);
-                    }
+                    finish_forensics!(tx, EventKind::Abort, "exhausted");
                     self.inner.stats.record_exhausted();
                     LAST_ATTEMPTS.with(|cell| cell.set(attempt));
                     return Err(AbortError::exhausted(
@@ -732,19 +662,19 @@ mod retry_tests {
                     })
                     .unwrap()
             });
-            // Give the consumer a chance to block, then publish.
-            std::thread::yield_now();
+            // Publish only once the consumer has asked to retry, so the
+            // blocking path is what gets exercised (a bare yield let the
+            // consumer start late, find the value and never block).
+            while stm.stats().retries_requested == 0 {
+                std::thread::yield_now();
+            }
             stm.atomically(|tx| slot.write(tx, Some(42))).unwrap();
             assert_eq!(consumer.join().unwrap(), 42);
         });
         assert_eq!(slot.load(), None, "consumer must have taken the value");
         assert!(stm.stats().retries_requested >= 1);
-        #[cfg(feature = "trace")]
-        {
-            let stats = stm.stats();
-            assert!(stats.parks >= 1, "the blocked retry must be counted as a park");
-            assert!(stm.metrics().park.count() >= 1, "park latency must land in the histogram");
-        }
+        assert!(stm.stats().parks >= 1, "the blocked retry must be counted as a park");
+        assert!(stm.metrics().park.count() >= 1, "park latency must land in the histogram");
     }
 
     /// Retry with an empty read set degrades to plain backoff-and-rerun

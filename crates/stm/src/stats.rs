@@ -235,7 +235,6 @@ impl StmStats {
         self.lock_wait_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    #[cfg(any(test, feature = "trace"))]
     pub(crate) fn record_park(&self, ns: u64) {
         self.parks.fetch_add(1, Ordering::Relaxed);
         self.park_ns.fetch_add(ns, Ordering::Relaxed);

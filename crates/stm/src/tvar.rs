@@ -47,8 +47,6 @@ pub(crate) struct TxnShared {
     /// Site label (raw [`proust_obs::SiteId`]) of the op this transaction
     /// is currently executing; read cross-thread by transactions it forces
     /// to abort (e.g. an eager writer blocked by this visible reader).
-    /// Only touched under the `trace` feature.
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     pub op_site: std::sync::atomic::AtomicU32,
 }
 
@@ -84,7 +82,7 @@ pub(crate) struct TVarMeta {
     pub owner: AtomicU64,
     /// Site label (raw [`proust_obs::SiteId`]) of the op that last took
     /// write ownership of this location; names the *aborter* when another
-    /// transaction conflicts here. Only written under the `trace` feature.
+    /// transaction conflicts here.
     pub last_writer_site: std::sync::atomic::AtomicU32,
     /// Visible readers (only populated under the `EagerAll` backend).
     pub readers: Mutex<Vec<(u64, Weak<TxnShared>)>>,

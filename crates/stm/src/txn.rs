@@ -15,16 +15,13 @@ use crate::clock;
 use crate::cm::{CmArbitration, Contender, TxnHandle};
 use crate::config::ConflictDetection;
 use crate::error::{ConflictKind, TxError, TxResult};
-#[cfg(feature = "trace")]
 use crate::forensics::{ForensicConflict, ForensicSpan};
 use crate::runtime::StmInner;
 use crate::tvar::{as_dyn, observe, DynTVar, TVarData, TxnShared, TXN_ABORTED, TXN_COMMITTED};
-#[cfg(feature = "trace")]
 use proust_obs::{EventKind, Phase, Tracer};
 
 /// Bound on the per-attempt conflict log kept for forensics; a retry
 /// storm must not turn the log into an allocation firehose.
-#[cfg(feature = "trace")]
 const CONFLICT_LOG_CAP: usize = 16;
 
 /// How a transaction finished; passed to [`Txn::on_end`] handlers.
@@ -47,7 +44,6 @@ struct WriteEntry {
     /// Op site that issued the write; published to the TVar's
     /// `last_writer_site` at write-back so later conflicts on the
     /// location can name their aborter.
-    #[cfg(feature = "trace")]
     site: SiteId,
 }
 
@@ -105,20 +101,16 @@ pub struct Txn {
     op_site: SiteId,
     /// Whether the flight-recorder sampler picked this `atomically` call
     /// (all attempts of a call share the decision).
-    #[cfg(feature = "trace")]
     sampled: bool,
     /// [`Tracer`] timestamp of this transaction's first TVar-ownership
     /// acquisition (sampled calls only; 0 = none held yet). Closed into
     /// [`StmMetrics::lock_hold`](crate::StmMetrics) when ownership is
     /// released by write-back or rollback.
-    #[cfg(feature = "trace")]
     own_since_ns: u64,
     /// Per-phase spans measured during this attempt (sampled calls
     /// only). `RefCell` because validation records through `&self`.
-    #[cfg(feature = "trace")]
     spans: RefCell<Vec<ForensicSpan>>,
     /// Conflicts raised during this attempt, named for forensics.
-    #[cfg(feature = "trace")]
     conflict_log: RefCell<Vec<ForensicConflict>>,
     // !Send / !Sync: transactions are thread-confined.
     _not_send: std::marker::PhantomData<Rc<()>>,
@@ -146,8 +138,6 @@ impl Txn {
         serial: bool,
         sampled: bool,
     ) -> Txn {
-        #[cfg(not(feature = "trace"))]
-        let _ = sampled;
         let read_version = clock::now();
         let shared = Arc::new(TxnShared::new(clock::next_txn_id(), birth));
         // Work done by earlier attempts of the same `atomically` call counts
@@ -174,14 +164,10 @@ impl Txn {
             finished: false,
             serial,
             op_site: SiteId::UNKNOWN,
-            #[cfg(feature = "trace")]
             sampled,
-            #[cfg(feature = "trace")]
             own_since_ns: 0,
             // Typical sampled attempt: body + lock + validate + writeback.
-            #[cfg(feature = "trace")]
             spans: RefCell::new(if sampled { Vec::with_capacity(4) } else { Vec::new() }),
-            #[cfg(feature = "trace")]
             conflict_log: RefCell::new(Vec::new()),
             _not_send: std::marker::PhantomData,
         }
@@ -215,21 +201,14 @@ impl Txn {
     /// (`map.put`, `pqueue.remove_min`, ...); subsequent conflicts are
     /// attributed to the label as the *victim* op, and ownership this
     /// transaction takes is stamped with it so transactions it later
-    /// aborts can name it as their *aborter*. Compiles to a no-op
-    /// without the `trace` feature.
+    /// aborts can name it as their *aborter*.
     pub fn set_op_site(&mut self, site: SiteId) {
-        #[cfg(feature = "trace")]
-        {
-            self.op_site = site;
-            self.shared.op_site.store(site.as_u32(), Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = site;
+        self.op_site = site;
+        self.shared.op_site.store(site.as_u32(), Ordering::Relaxed);
     }
 
     /// The current op label (set via [`set_op_site`](Txn::set_op_site));
-    /// [`SiteId::UNKNOWN`] when unlabelled or when the `trace` feature is
-    /// off.
+    /// [`SiteId::UNKNOWN`] when unlabelled.
     pub fn op_site(&self) -> SiteId {
         self.op_site
     }
@@ -237,16 +216,9 @@ impl Txn {
     /// Whether the flight-recorder sampler picked this `atomically` call.
     /// Layers above the STM (abstract lock tables, data structures) gate
     /// their own trace emission on this so unsampled transactions pay
-    /// nothing. Always `false` without the `trace` feature.
+    /// nothing.
     pub fn is_sampled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.sampled
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.sampled
     }
 
     /// Raise a conflict from code layered above the STM (e.g. an abstract
@@ -281,30 +253,18 @@ impl Txn {
         ns_lost: u64,
     ) -> TxResult<T> {
         self.stm.stats.record_conflict(kind);
-        #[cfg(not(feature = "trace"))]
-        let _ = ns_lost;
-        #[cfg(feature = "trace")]
-        {
-            self.stm.metrics.conflicts.record_loss(aborter, self.op_site, ns_lost);
-            if self.sampled {
-                Tracer::global().emit(
-                    self.shared.id,
-                    EventKind::Conflict,
-                    aborter,
-                    kind.code() as u64,
-                );
-            }
-            let mut log = self.conflict_log.borrow_mut();
-            if log.len() < CONFLICT_LOG_CAP {
-                log.push(ForensicConflict {
-                    kind: kind.name(),
-                    aborter: aborter.name(),
-                    victim: self.op_site.name(),
-                });
-            }
+        self.stm.metrics.conflicts.record_loss(aborter, self.op_site, ns_lost);
+        if self.sampled {
+            Tracer::global().emit(self.shared.id, EventKind::Conflict, aborter, kind.code() as u64);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = aborter;
+        let mut log = self.conflict_log.borrow_mut();
+        if log.len() < CONFLICT_LOG_CAP {
+            log.push(ForensicConflict {
+                kind: kind.name(),
+                aborter: aborter.name(),
+                victim: self.op_site.name(),
+            });
+        }
         Err(TxError::Conflict(kind))
     }
 
@@ -348,7 +308,6 @@ impl Txn {
     /// Close a sampled span that began at `start_ns` (a
     /// [`Tracer::now_ns`] reading): emit it to the flight recorder and
     /// keep a copy for forensics. No-op for unsampled transactions.
-    #[cfg(feature = "trace")]
     pub(crate) fn record_span(&self, phase: Phase, start_ns: u64) {
         if !self.sampled {
             return;
@@ -360,7 +319,6 @@ impl Txn {
     /// Like [`record_span`](Txn::record_span) but with the duration
     /// already measured, so commit-path phases that time themselves for
     /// the always-on histograms don't pay a second clock read here.
-    #[cfg(feature = "trace")]
     pub(crate) fn record_span_at(&self, phase: Phase, start_ns: u64, dur_ns: u64) {
         if !self.sampled {
             return;
@@ -370,13 +328,11 @@ impl Txn {
     }
 
     /// Drain this attempt's sampled spans (for call-level accumulation).
-    #[cfg(feature = "trace")]
     pub(crate) fn take_spans(&self) -> Vec<ForensicSpan> {
         self.spans.take()
     }
 
     /// Drain this attempt's conflict log (for call-level accumulation).
-    #[cfg(feature = "trace")]
     pub(crate) fn take_conflicts(&self) -> Vec<ForensicConflict> {
         self.conflict_log.take()
     }
@@ -533,7 +489,6 @@ impl Txn {
         }
         if self.read_ids.insert(id) {
             self.reads.push(ReadEntry { tvar: as_dyn(data), version });
-            #[cfg(feature = "trace")]
             if self.sampled {
                 Tracer::global().emit(self.shared.id, EventKind::Read, self.op_site, id);
             }
@@ -557,7 +512,6 @@ impl Txn {
             // Wait timing is always-on but lazy: the first clock read only
             // happens after the CAS has already failed once, so the
             // uncontended fast path pays nothing.
-            #[cfg(feature = "trace")]
             let mut wait_start_ns: u64 = 0;
             let mut polls = 0u32;
             loop {
@@ -569,24 +523,18 @@ impl Txn {
                 ) {
                     Ok(_) => {
                         self.owned.push(as_dyn(data));
-                        #[cfg(feature = "trace")]
-                        {
-                            data.meta
-                                .last_writer_site
-                                .store(self.op_site.as_u32(), Ordering::Relaxed);
-                            // Only a contended acquisition is worth timing;
-                            // the uncontended CAS is nanoseconds. One clock
-                            // pair serves the wait counters, the per-site
-                            // histogram, and (for sampled calls) the span.
-                            if polls > 0 {
-                                let wait_ns =
-                                    Tracer::global().now_ns().saturating_sub(wait_start_ns);
-                                self.note_lock_wait(self.op_site, wait_ns);
-                                self.record_span_at(Phase::LockAcquire, wait_start_ns, wait_ns);
-                            }
-                            if self.sampled && self.own_since_ns == 0 {
-                                self.own_since_ns = Tracer::global().now_ns();
-                            }
+                        data.meta.last_writer_site.store(self.op_site.as_u32(), Ordering::Relaxed);
+                        // Only a contended acquisition is worth timing; the
+                        // uncontended CAS is nanoseconds. One clock pair
+                        // serves the wait counters, the per-site histogram,
+                        // and (for sampled calls) the span.
+                        if polls > 0 {
+                            let wait_ns = Tracer::global().now_ns().saturating_sub(wait_start_ns);
+                            self.note_lock_wait(self.op_site, wait_ns);
+                            self.record_span_at(Phase::LockAcquire, wait_start_ns, wait_ns);
+                        }
+                        if self.sampled && self.own_since_ns == 0 {
+                            self.own_since_ns = Tracer::global().now_ns();
                         }
                         break;
                     }
@@ -596,7 +544,6 @@ impl Txn {
                         // conflict it happened to interrupt — the abort
                         // cause breakdown depends on the distinction.
                         self.check_wounded()?;
-                        #[cfg(feature = "trace")]
                         if polls == 0 {
                             wait_start_ns = Tracer::global().now_ns();
                         }
@@ -609,14 +556,8 @@ impl Txn {
                             // Charge the whole fruitless wait to the blocked
                             // site and to the (aborter, victim) pair: this is
                             // exactly the time the conflict cost us.
-                            #[cfg(feature = "trace")]
-                            let lost_ns = {
-                                let ns = Tracer::global().now_ns().saturating_sub(wait_start_ns);
-                                self.note_lock_wait(self.op_site, ns);
-                                ns
-                            };
-                            #[cfg(not(feature = "trace"))]
-                            let lost_ns = 0;
+                            let lost_ns = Tracer::global().now_ns().saturating_sub(wait_start_ns);
+                            self.note_lock_wait(self.op_site, lost_ns);
                             return self.conflict_attributed_with_loss(
                                 ConflictKind::WriteLocked,
                                 SiteId::from_u32(
@@ -642,26 +583,16 @@ impl Txn {
                     // took and retry after backoff.
                     data.meta.owner.store(0, Ordering::Release);
                     self.owned.retain(|t| t.meta().id != id);
-                    #[cfg(feature = "trace")]
                     let blocker = SiteId::from_u32(foreign[0].op_site.load(Ordering::Relaxed));
-                    #[cfg(not(feature = "trace"))]
-                    let blocker = SiteId::UNKNOWN;
                     return self.conflict_attributed(ConflictKind::VisibleReaders, blocker);
                 }
             }
         }
-        #[cfg(feature = "trace")]
         let is_first_write = !self.writes.contains_key(&id);
         self.writes.insert(
             id,
-            WriteEntry {
-                tvar: as_dyn(data),
-                value: Box::new(value),
-                #[cfg(feature = "trace")]
-                site: self.op_site,
-            },
+            WriteEntry { tvar: as_dyn(data), value: Box::new(value), site: self.op_site },
         );
-        #[cfg(feature = "trace")]
         if is_first_write && self.sampled {
             Tracer::global().emit(self.shared.id, EventKind::Write, self.op_site, id);
         }
@@ -739,10 +670,8 @@ impl Txn {
                 if let Err(kind) = crate::chaos::inject(crate::chaos::InjectionPoint::Replay) {
                     return self.conflict(kind);
                 }
-                #[cfg(feature = "trace")]
                 let writeback_start = std::time::Instant::now();
                 self.write_back();
-                #[cfg(feature = "trace")]
                 self.stm.metrics.lock_writeback.record(writeback_start.elapsed().as_nanos() as u64);
             }
             ConflictDetection::LazyAll => {
@@ -752,7 +681,6 @@ impl Txn {
                 // validation under the lock, write-back) counts as the
                 // lock/write-back phase; validation is also recorded on
                 // its own.
-                #[cfg(feature = "trace")]
                 let writeback_start = std::time::Instant::now();
                 self.acquire_write_ownership()?;
                 self.timed_validate()?;
@@ -761,7 +689,6 @@ impl Txn {
                     return self.conflict(kind);
                 }
                 self.write_back();
-                #[cfg(feature = "trace")]
                 self.stm.metrics.lock_writeback.record(writeback_start.elapsed().as_nanos() as u64);
             }
         }
@@ -769,7 +696,6 @@ impl Txn {
         self.shared.status.store(TXN_COMMITTED, Ordering::Release);
         self.release_reader_registrations();
         self.owned.clear(); // ownership was released by write-back
-        #[cfg(feature = "trace")]
         self.record_hold_release();
         for handler in self.end_handlers.drain(..) {
             handler(TxnOutcome::Committed);
@@ -782,7 +708,6 @@ impl Txn {
     /// global commit lock, so the only contention is transient
     /// (`store_now` or a racing eager runtime, which is unsupported).
     fn acquire_write_ownership(&mut self) -> TxResult<()> {
-        #[cfg(feature = "trace")]
         let lock_start_ns = if self.sampled && !self.writes.is_empty() {
             Some(Tracer::global().now_ns())
         } else {
@@ -808,11 +733,9 @@ impl Txn {
                     SiteId::from_u32(meta.last_writer_site.load(Ordering::Relaxed)),
                 );
             }
-            #[cfg(feature = "trace")]
             meta.last_writer_site.store(entry.site.as_u32(), Ordering::Relaxed);
             self.owned.push(Arc::clone(&entry.tvar));
         }
-        #[cfg(feature = "trace")]
         if let Some(start_ns) = lock_start_ns {
             self.record_span(Phase::LockAcquire, start_ns);
             // Commit-time ownership opens the hold interval here; it closes
@@ -829,7 +752,6 @@ impl Txn {
     /// words have been released (by write-back on commit, or by the
     /// rollback loop on abort), so intervals can never overlap or
     /// double-count across the TVar clock handshake.
-    #[cfg(feature = "trace")]
     fn record_hold_release(&mut self) {
         if self.own_since_ns != 0 {
             let hold_ns = Tracer::global().now_ns().saturating_sub(self.own_since_ns);
@@ -839,41 +761,34 @@ impl Txn {
     }
 
     /// Commit-time read validation, timed into
-    /// [`StmMetrics::validation`](crate::StmMetrics) under the `trace`
-    /// feature.
+    /// [`StmMetrics::validation`](crate::StmMetrics).
     fn timed_validate(&self) -> TxResult<()> {
         #[cfg(feature = "chaos")]
         if let Err(kind) = crate::chaos::inject(crate::chaos::InjectionPoint::Validate) {
             return self.conflict(kind);
         }
-        #[cfg(feature = "trace")]
-        {
-            // One clock pair serves both the always-on validation
-            // histogram and (for sampled transactions) the phase span.
-            let start_ns = Tracer::global().now_ns();
-            let result = self.validate_reads();
-            let dur_ns = Tracer::global().now_ns().saturating_sub(start_ns);
-            self.stm.metrics.validation.record(dur_ns);
-            if self.sampled {
-                Tracer::global().emit_at(
-                    start_ns,
-                    self.shared.id,
-                    EventKind::CommitValidate,
-                    self.op_site,
-                    self.reads.len() as u64,
-                );
-                self.record_span_at(Phase::Validate, start_ns, dur_ns);
-            }
-            result
+        // One clock pair serves both the always-on validation histogram
+        // and (for sampled transactions) the phase span.
+        let start_ns = Tracer::global().now_ns();
+        let result = self.validate_reads();
+        let dur_ns = Tracer::global().now_ns().saturating_sub(start_ns);
+        self.stm.metrics.validation.record(dur_ns);
+        if self.sampled {
+            Tracer::global().emit_at(
+                start_ns,
+                self.shared.id,
+                EventKind::CommitValidate,
+                self.op_site,
+                self.reads.len() as u64,
+            );
+            self.record_span_at(Phase::Validate, start_ns, dur_ns);
         }
-        #[cfg(not(feature = "trace"))]
-        self.validate_reads()
+        result
     }
 
     /// The serialization point: run replay handlers, then publish buffered
     /// writes with a fresh version stamp.
     fn write_back(&mut self) {
-        #[cfg(feature = "trace")]
         if !self.commit_locked_handlers.is_empty() {
             let handlers = self.commit_locked_handlers.len() as u64;
             let start_ns = Tracer::global().now_ns();
@@ -901,19 +816,13 @@ impl Txn {
                 );
             }
         }
-        // Already drained above when tracing; no-op in that case.
-        for handler in self.commit_locked_handlers.drain(..) {
-            handler();
-        }
         if self.writes.is_empty() {
             // Pure lazy-update transactions commit through replay handlers
             // without any TVar writes; their durable log still ships.
             self.flush_durable(clock::now());
             return;
         }
-        #[cfg(feature = "trace")]
         let writeback_start_ns = if self.sampled { Tracer::global().now_ns() } else { 0 };
-        #[cfg(feature = "trace")]
         if self.sampled {
             Tracer::global().emit_at(
                 writeback_start_ns,
@@ -931,14 +840,12 @@ impl Txn {
         // committed value whose log record was lost.
         self.flush_durable(write_version);
         for (_, entry) in std::mem::take(&mut self.writes) {
-            #[cfg(feature = "trace")]
             entry.tvar.meta().last_writer_site.store(entry.site.as_u32(), Ordering::Relaxed);
             entry.tvar.commit_write(entry.value, write_version);
         }
         // After the version stores, so a woken retry waiter re-checking its
         // watch list is guaranteed to see the change.
         crate::wake::notify_commit();
-        #[cfg(feature = "trace")]
         if self.sampled {
             self.record_span(Phase::Writeback, writeback_start_ns);
         }
@@ -978,7 +885,6 @@ impl Txn {
         for tvar in self.owned.drain(..) {
             tvar.meta().owner.store(0, Ordering::Release);
         }
-        #[cfg(feature = "trace")]
         self.record_hold_release();
         self.release_reader_registrations();
         self.writes.clear();

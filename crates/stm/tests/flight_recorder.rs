@@ -1,7 +1,5 @@
 //! End-to-end checks of the sampling flight recorder and the
-//! slow-transaction forensics record (`trace` feature only).
-
-#![cfg(feature = "trace")]
+//! slow-transaction forensics record.
 
 use proust_stm::obs::{JsonValue, Phase, Tracer};
 use proust_stm::{take_forensics, ConflictKind, Stm, StmConfig, TVar};

@@ -129,16 +129,14 @@ fn retry_handshake_never_loses_the_wakeup() {
     });
 }
 
-/// Contention-observatory interval sanity under permuted schedules
-/// (`--features trace`; `cargo xtask loom` passes it): wait intervals
-/// are `u64` nanoseconds from a saturating clock pair — never negative —
-/// and each wait is recorded exactly once in *both* sinks (the
-/// cumulative stats counters and the per-site histogram), so the two
-/// must agree exactly however commits, aborts, and ownership handoffs
-/// interleave. Hold intervals close exactly once per attempt that took
-/// ownership: every committing writer contributes one, and no attempt
-/// can contribute more than one (no overlap double-counting).
-#[cfg(feature = "trace")]
+/// Contention-observatory interval sanity under permuted schedules:
+/// wait intervals are `u64` nanoseconds from a saturating clock pair —
+/// never negative — and each wait is recorded exactly once in *both*
+/// sinks (the cumulative stats counters and the per-site histogram), so
+/// the two must agree exactly however commits, aborts, and ownership
+/// handoffs interleave. Hold intervals close exactly once per attempt
+/// that took ownership: every committing writer contributes one, and no
+/// attempt can contribute more than one (no overlap double-counting).
 #[test]
 fn wait_and_hold_intervals_never_double_count() {
     let tracer = proust_stm::obs::Tracer::global();

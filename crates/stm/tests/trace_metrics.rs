@@ -1,7 +1,5 @@
-//! Observability invariants, exercised only when the `trace` feature is
-//! enabled (`cargo test -p proust-stm --features trace`).
-
-#![cfg(feature = "trace")]
+//! Observability invariants: lifecycle events, phase histograms and
+//! conflict attribution recorded by the STM runtime.
 
 use proust_stm::obs::{EventKind, Tracer};
 use proust_stm::{ConflictDetection, SiteId, Stm, StmConfig, TVar};

@@ -136,17 +136,11 @@ fn run_analyze(args: &[String]) -> ExitCode {
 /// for it.
 fn run_loom() -> ExitCode {
     let root = workspace_root();
-    // The STM permutations run with `trace` on so the contention-
-    // observatory interval checks (wait/hold never double-count) are
-    // compiled in.
-    let targets: [(&str, &str, &[&str]); 2] =
-        [("proust-stm", "loom_stm", &["--features", "trace"]), ("proust-core", "loom_lock", &[])];
-    for (package, test, extra) in targets {
+    for (package, test) in [("proust-stm", "loom_stm"), ("proust-core", "loom_lock")] {
         println!("loom: {package} --test {test}");
         let status = Command::new("cargo")
             .current_dir(&root)
             .args(["test", "-p", package, "--test", test, "--release"])
-            .args(extra)
             .env("RUSTFLAGS", "--cfg loom")
             .status();
         match status {
@@ -240,15 +234,9 @@ fn run_chaos(args: &[String]) -> ExitCode {
 
     // Contention-observatory consistency under LockAcquire faults: the
     // wait/attribution sinks must agree however injected aborts land.
-    // Needs `trace` on top of `chaos` (chaos_test always passes the
-    // latter).
     println!("chaos: contention-counter consistency (LockAcquire faults)");
     step!(
-        chaos_test(
-            &root,
-            &[],
-            &["-p", "proust-core", "--features", "trace", "--test", "chaos_contention"],
-        ),
+        chaos_test(&root, &[], &["-p", "proust-core", "--test", "chaos_contention"]),
         "contention-counter consistency"
     );
 

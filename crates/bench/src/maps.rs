@@ -110,7 +110,6 @@ impl MapKind {
             cm,
             max_retries: Some(1_000_000),
             on_exhaustion: RetryExhaustion::GiveUp,
-            ..StmConfig::default()
         });
         let map: Arc<dyn TxMap<u64, u64>> = match self {
             MapKind::StmMap => Arc::new(StmHashMap::new()),

@@ -29,7 +29,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-use proust_stm::{TxResult, Txn, TxnOutcome};
+use proust_stm::{TxResult, Txn};
 
 use crate::conflict::AccessSet;
 use crate::region::StmRegion;
@@ -174,12 +174,14 @@ impl ProustCounter {
         self.base.get().min(self.committed.load(Ordering::Acquire))
     }
 
+    /// Apply `delta` to the committed tally at the serialization point,
+    /// while the transaction still holds its STM accesses. An `on_end`
+    /// handler would run after the reader registrations are released,
+    /// letting a dependent `decr` commit its −1 before this +1 lands.
     fn record_committed_delta(&self, tx: &mut Txn, delta: i64) {
         let committed = Arc::clone(&self.committed);
-        tx.on_end(move |outcome| {
-            if outcome == TxnOutcome::Committed {
-                committed.fetch_add(delta, Ordering::AcqRel);
-            }
+        tx.on_commit_locked(move || {
+            committed.fetch_add(delta, Ordering::AcqRel);
         });
     }
 
@@ -318,6 +320,42 @@ mod tests {
         });
         assert_eq!(counter.value_now(), 52);
         assert_eq!(stm.stats().conflicts, 0, "no conflicts far from zero");
+    }
+
+    #[test]
+    fn dependent_decr_cannot_drive_committed_value_negative() {
+        // The incrementing transaction parks in an end handler registered
+        // before `incr`, so it runs ahead of anything `incr` registers
+        // there. By then its reader registration on ℓ₀ is released, and a
+        // `decr` that consumes the increment can commit in the gap.
+        use std::sync::Barrier;
+        let stm = Stm::new(StmConfig::with_detection(ConflictDetection::EagerAll));
+        let counter = Arc::new(ProustCounter::new(0));
+        let parked = Arc::new(Barrier::new(2));
+        let resume = Arc::new(Barrier::new(2));
+        std::thread::scope(|s| {
+            let incrementer = s.spawn(|| {
+                stm.atomically(|tx| {
+                    let (parked, resume) = (Arc::clone(&parked), Arc::clone(&resume));
+                    tx.on_end(move |outcome| {
+                        if outcome == proust_stm::TxnOutcome::Committed {
+                            parked.wait();
+                            resume.wait();
+                        }
+                    });
+                    counter.incr(tx)
+                })
+                .unwrap();
+            });
+            parked.wait();
+            let ok = stm.atomically(|tx| counter.decr(tx)).unwrap();
+            let during = counter.value_now();
+            resume.wait();
+            incrementer.join().unwrap();
+            assert!(ok, "the decr consumes the committed increment");
+            assert!(during >= 0, "committed value went negative: {during}");
+        });
+        assert_eq!(counter.value_now(), 0);
     }
 
     #[test]

@@ -503,13 +503,13 @@ fn text_line(req: &Req) -> String {
 
 /// Encode a request as its binary frame with the given top-level header
 /// flags (nested `BATCH` members never carry flags).
-fn encode_req_flags(frame: &mut Vec<u8>, req: &Req, flags: u8) {
+fn encode_req(frame: &mut Vec<u8>, req: &Req, flags: u8) {
     use proust_codec::{put_batch_request_flags, put_request_flags};
     match req {
         Req::Multi(inner) => {
             let mut body = Vec::new();
             for req in inner {
-                encode_req(&mut body, req);
+                encode_req(&mut body, req, 0);
             }
             put_batch_request_flags(frame, flags, inner.len() as u32, &body);
         }
@@ -526,28 +526,6 @@ fn encode_req_flags(frame: &mut Vec<u8>, req: &Req, flags: u8) {
         }
         Req::Scan { name, lo, hi } => {
             put_request_flags(frame, op::ORD_SCAN, flags, name, &[*lo, *hi])
-        }
-    }
-}
-
-/// Encode a request as its binary frame (recursing for `BATCH`).
-fn encode_req(frame: &mut Vec<u8>, req: &Req) {
-    use proust_codec::{put_batch_request, put_request};
-    match req {
-        Req::Get { name, key } => put_request(frame, op::MAP_GET, name, &[*key]),
-        Req::Put { name, key, value } => put_request(frame, op::MAP_PUT, name, &[*key, *value]),
-        Req::Del { name, key } => put_request(frame, op::MAP_DEL, name, &[*key]),
-        Req::Inc { name, delta } => put_request(frame, op::CTR_INC, name, &[*delta]),
-        Req::Enq { name, value } => put_request(frame, op::Q_ENQ, name, &[*value]),
-        Req::Deq { name } => put_request(frame, op::Q_DEQ, name, &[]),
-        Req::Oput { name, key, value } => put_request(frame, op::ORD_PUT, name, &[*key, *value]),
-        Req::Scan { name, lo, hi } => put_request(frame, op::ORD_SCAN, name, &[*lo, *hi]),
-        Req::Multi(inner) => {
-            let mut body = Vec::new();
-            for req in inner {
-                encode_req(&mut body, req);
-            }
-            put_batch_request(frame, inner.len() as u32, &body);
         }
     }
 }
@@ -695,11 +673,8 @@ impl WorkerConn {
             WorkerConn::Text(client) => Ok((issue_text(client, req)?, None)),
             WorkerConn::Binary(client) => {
                 let mut frame = Vec::new();
-                if trace {
-                    encode_req_flags(&mut frame, req, proust_codec::flag::TRACE);
-                } else {
-                    encode_req(&mut frame, req);
-                }
+                let flags = if trace { proust_codec::flag::TRACE } else { 0 };
+                encode_req(&mut frame, req, flags);
                 client.send(&frame)?;
                 let class = client.recv()?.classify();
                 if !trace {
@@ -1411,6 +1386,7 @@ fn selftest_binary(addr: &str, nonce: u64) -> Result<(), String> {
             Req::Put { name: m.clone(), key: 2, value: 22 },
             Req::Get { name: m.clone(), key: 2 },
         ]),
+        0,
     );
     client.send(&frame)?;
     let batch = client.recv()?;

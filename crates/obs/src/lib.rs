@@ -14,8 +14,8 @@
 //!   commutativity oracle.
 //! * [`trace`] — per-thread ring-buffer event trace of the transaction
 //!   lifecycle with a runtime 1-in-N sampler and a Chrome trace-event
-//!   encoder; callers gate emission behind a cargo feature so the
-//!   hooks compile to no-ops when tracing is off.
+//!   encoder; while the tracer is disabled each hook costs one relaxed
+//!   load.
 //! * [`prom`] — Prometheus text exposition encoding (and a tiny
 //!   scrape parser) for the server's `/metrics` endpoint.
 //!

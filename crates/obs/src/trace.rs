@@ -7,9 +7,8 @@
 //! timestamp order. Rings overwrite their oldest entries, so a trace
 //! retains the *last* `capacity` events per thread.
 //!
-//! Callers (the STM substrate) gate emission behind a cargo feature —
-//! with the feature off the hooks compile away entirely; with it on but
-//! the tracer disabled, emission is one relaxed load.
+//! Callers (the STM substrate) always compile their hooks in; while the
+//! tracer is disabled, emission is one relaxed load.
 //!
 //! Concurrency note: slots are per-field atomics. A drain that races a
 //! live emitter can observe a torn event (fields from two writes) on

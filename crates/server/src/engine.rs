@@ -4,7 +4,7 @@
 //! registries (maps, counters, FIFO queues, ordered maps — separate
 //! namespaces). Every
 //! request executes inside a Proust transaction; pipelined requests are
-//! *commit-batched*: up to `max_batch` parsed requests run as a single
+//! *commit-batched*: a reactor burst of parsed requests runs as a single
 //! transaction attempt, and if that batch aborts past a small patience
 //! bound, the engine falls back to one transaction per request so a
 //! single conflicting op cannot poison its neighbours.
@@ -35,6 +35,14 @@ use crate::ServerConfig;
 
 /// Size of the lock-allocator region backing each server map.
 const LAP_SIZE: usize = 1024;
+
+/// Optimistic retry budget per transaction before the STM escalates it
+/// to the serial-irrevocable mode.
+const MAX_RETRIES: u32 = 128;
+
+/// Batched attempts tolerated before falling back to per-request
+/// transactions.
+const BATCH_PATIENCE: u32 = 4;
 
 /// Cap on structures per namespace, so a misbehaving client cannot grow
 /// the registries without bound.
@@ -357,7 +365,6 @@ pub struct Engine {
     lap: LapChoice,
     update: UpdateChoice,
     baseline: Option<Baseline>,
-    batch_patience: u32,
     maps: Mutex<HashMap<String, Arc<dyn TxMap<u64, u64>>>>,
     counters: Mutex<HashMap<String, Arc<ProustCounter>>>,
     queues: Mutex<HashMap<String, Arc<ProustFifo<u64>>>>,
@@ -425,9 +432,7 @@ impl Engine {
         };
         let stm = Stm::new(StmConfig {
             detection,
-            cm: config.cm,
-            max_retries: Some(config.max_retries),
-            on_exhaustion: config.exhaustion,
+            max_retries: Some(MAX_RETRIES),
             ..StmConfig::default()
         });
         // The flight recorder is a runtime knob on the process-global
@@ -443,7 +448,6 @@ impl Engine {
             lap: config.lap,
             update: config.update,
             baseline: config.baseline,
-            batch_patience: config.batch_patience,
             maps: Mutex::new(HashMap::new()),
             counters: Mutex::new(HashMap::new()),
             queues: Mutex::new(HashMap::new()),
@@ -492,7 +496,7 @@ impl Engine {
         if config.chaos_torn_tail {
             proust_wal::inject_torn_tail(dir)?;
         }
-        let (wal, recovery) = Wal::open(dir, config.wal_segment_bytes)?;
+        let (wal, recovery) = Wal::open(dir, Wal::DEFAULT_SEGMENT_BYTES)?;
         engine.recovery_truncated_bytes.store(recovery.truncated_bytes, Ordering::Relaxed);
         engine.recovery_torn_tails.store(u64::from(recovery.torn_tail), Ordering::Relaxed);
 
@@ -847,7 +851,7 @@ impl Engine {
     /// request context and the STM's post-mortem record (retry count,
     /// abort causes, contending site pairs, and — when the flight
     /// recorder sampled the call — its span tree).
-    fn note_slow(&self, start: Instant, ops: &[Op], outcome: &str) {
+    fn note_slow(&self, start: Instant, units: &[Unit], outcome: &str) {
         if self.slow_threshold_ns == 0 {
             return;
         }
@@ -856,12 +860,13 @@ impl Engine {
             return;
         }
         self.slow_txns.fetch_add(1, Ordering::Relaxed);
+        let ops = units.iter().flat_map(|unit| &unit.ops);
         let mut fields = vec![
             ("event", JsonValue::str("slow_txn")),
             ("elapsed_ns", JsonValue::u64(elapsed_ns)),
             ("threshold_ns", JsonValue::u64(self.slow_threshold_ns)),
             ("outcome", JsonValue::str(outcome)),
-            ("ops", JsonValue::Arr(ops.iter().map(|op| JsonValue::str(op.name())).collect())),
+            ("ops", JsonValue::Arr(ops.map(|op| JsonValue::str(op.name())).collect())),
         ];
         // Best effort: the thread-local record belongs to whatever
         // transaction this worker thread ran last, which is the one that
@@ -1011,17 +1016,12 @@ impl Engine {
     /// Execute a burst of units with commit-batching: one transaction for
     /// the whole burst first; if that aborts (patience exceeded, retry
     /// budget exhausted), one transaction per unit. Returns one response
-    /// vector per unit, in order.
-    pub fn execute(&self, units: &[Unit]) -> Vec<Vec<Resp>> {
-        self.execute_stages(units).0
-    }
-
-    /// [`Engine::execute`] plus the burst's stage anatomy: STM execution
-    /// time with the committing thread's WAL appends peeled out, the
-    /// group-fsync wait, the fsync cohort (records made durable across
-    /// the burst's fsync window), and the retry count. The serving path
-    /// feeds these into the per-stage histograms and the request
-    /// waterfalls; `execute` discards them.
+    /// vector per unit, in order, plus the burst's stage anatomy: STM
+    /// execution time with the committing thread's WAL appends peeled
+    /// out, the group-fsync wait, the fsync cohort (records made durable
+    /// across the burst's fsync window), and the retry count. The serving
+    /// path feeds these into the per-stage histograms and the request
+    /// waterfalls.
     pub fn execute_stages(&self, units: &[Unit]) -> (Vec<Vec<Resp>>, StageBreakdown) {
         WAL_APPEND_NS.with(|cell| cell.set(0));
         WAL_HOOK_FSYNC_NS.with(|cell| cell.set(0));
@@ -1059,10 +1059,9 @@ impl Engine {
         let total: u64 = units.iter().map(|unit| unit.ops.len() as u64).sum();
         self.requests.fetch_add(total, Ordering::Relaxed);
         if units.len() > 1 {
-            let patience = self.batch_patience;
             let start = Instant::now();
             let batched = self.stm.atomically(|tx| {
-                if tx.attempt() > patience {
+                if tx.attempt() > BATCH_PATIENCE {
                     // The batch is contended; stop poisoning every request
                     // in it and let each one commit on its own.
                     return Err(TxError::abort(BATCH_FALLBACK));
@@ -1074,9 +1073,7 @@ impl Engine {
             });
             match batched {
                 Ok(responses) => {
-                    let ops: Vec<Op> =
-                        units.iter().flat_map(|unit| unit.ops.iter().cloned()).collect();
-                    self.note_slow(start, &ops, "committed");
+                    self.note_slow(start, units, "committed");
                     return responses;
                 }
                 Err(_) => {
@@ -1092,14 +1089,16 @@ impl Engine {
         let result = self.stm.atomically(|tx| unit.ops.iter().map(|op| apply_op(tx, op)).collect());
         match result {
             Ok(responses) => {
-                self.note_slow(start, &unit.ops, "committed");
+                self.note_slow(start, std::slice::from_ref(unit), "committed");
                 responses
             }
             Err(_) => {
-                // Retry budget exhausted (only reachable under the give-up
-                // policy); the unit stays atomic, so every line is BUSY.
+                // The unit failed even after escalating to the STM's
+                // serial-irrevocable mode, which gives up once a body keeps
+                // failing while running alone. The unit stays atomic, so
+                // every line is BUSY.
                 self.busy.fetch_add(1, Ordering::Relaxed);
-                self.note_slow(start, &unit.ops, "busy");
+                self.note_slow(start, std::slice::from_ref(unit), "busy");
                 unit.ops.iter().map(|_| Resp::Busy).collect()
             }
         }
@@ -1771,7 +1770,7 @@ mod tests {
             other => panic!("not a data command: {other:?}"),
         };
         let op = engine.resolve(&parsed).unwrap();
-        let mut responses = engine.execute(&[Unit { ops: vec![op] }]);
+        let mut responses = engine.execute_stages(&[Unit { ops: vec![op] }]).0;
         assert_eq!(responses.len(), 1);
         assert_eq!(responses[0].len(), 1);
         responses.pop().unwrap().pop().unwrap().to_line()
@@ -1852,7 +1851,7 @@ mod tests {
                 Unit { ops: vec![op] }
             })
             .collect();
-        let responses = engine.execute(&units);
+        let responses = engine.execute_stages(&units).0;
         assert_eq!(responses.len(), 10);
         for unit in &responses {
             assert_eq!(unit.as_slice(), [Resp::Ok]);
@@ -1870,7 +1869,7 @@ mod tests {
             engine.resolve(&Cmd::CounterInc { name: "c".into(), delta: 2 }).unwrap(),
             engine.resolve(&Cmd::MapGet { name: "m".into(), key: 1 }).unwrap(),
         ];
-        let responses = engine.execute(&[Unit { ops }]);
+        let responses = engine.execute_stages(&[Unit { ops }]).0;
         assert_eq!(responses, vec![vec![Resp::Ok, Resp::Ok, Resp::Value(1)]]);
         assert_eq!(single(&engine, "GET c"), "VALUE 2");
     }

@@ -18,9 +18,9 @@
 //!   text protocol. Both decode into the same typed command model and
 //!   share one execution path;
 //! * **pipelining + commit-batching** — every readable edge drains all
-//!   complete requests; up to `max_batch` of them execute as a *single*
+//!   complete requests; up to 16 of them execute as a *single*
 //!   transaction attempt, falling back to per-request transactions when
-//!   the batch aborts (see [`engine::Engine::execute`]). Responses are
+//!   the batch aborts (see [`engine::Engine::execute_stages`]). Responses are
 //!   queued per connection with backpressure: a peer that stops reading
 //!   has its socket paused at the reactor's high-water mark;
 //! * **graceful shutdown** — `SHUTDOWN` (or [`ServerHandle::shutdown`])
@@ -54,7 +54,6 @@ use proust_reactor::{
     INTEREST_ACCEPT, INTEREST_WAKEUP,
 };
 use proust_stm::obs::Phase;
-use proust_stm::{CmPolicy, RetryExhaustion};
 
 pub use engine::{Baseline, Engine, Op, Resp, StageBreakdown, Unit, Waterfall};
 
@@ -69,19 +68,8 @@ pub struct ServerConfig {
     pub update: UpdateChoice,
     /// Use a baseline (non-Proustian) map implementation instead.
     pub baseline: Option<Baseline>,
-    /// Contention-management policy for the STM runtime.
-    pub cm: CmPolicy,
-    /// What happens when a transaction exhausts `max_retries`.
-    pub exhaustion: RetryExhaustion,
-    /// Optimistic retry budget per `atomically` call.
-    pub max_retries: u32,
     /// Reactor event-loop threads; each owns a slice of the connections.
     pub shards: usize,
-    /// Maximum parsed requests per batched transaction attempt.
-    pub max_batch: usize,
-    /// Batched attempts tolerated before falling back to per-request
-    /// transactions.
-    pub batch_patience: u32,
     /// Bind address for the Prometheus `/metrics` listener; `None`
     /// disables it. Port 0 picks a free port (see
     /// [`ServerHandle::metrics_addr`]).
@@ -98,8 +86,6 @@ pub struct ServerConfig {
     pub data_dir: Option<std::path::PathBuf>,
     /// When to fsync WAL appends (only meaningful with `data_dir`).
     pub fsync_policy: proust_wal::FsyncPolicy,
-    /// WAL segment rotation threshold, bytes.
-    pub wal_segment_bytes: u64,
     /// Fault injection: corrupt the WAL tail before recovery runs, to
     /// prove the torn-tail truncation path bites (`--chaos-torn-tail`).
     pub chaos_torn_tail: bool,
@@ -116,23 +102,20 @@ impl Default for ServerConfig {
             lap: LapChoice::default(),
             update: UpdateChoice::default(),
             baseline: None,
-            cm: CmPolicy::default(),
-            exhaustion: RetryExhaustion::SerialFallback,
-            max_retries: 128,
             shards: 2,
-            max_batch: 16,
-            batch_patience: 4,
             metrics_addr: None,
             slow_threshold: None,
             trace_sample: 64,
             data_dir: None,
             fsync_policy: proust_wal::FsyncPolicy::default(),
-            wal_segment_bytes: proust_wal::Wal::DEFAULT_SEGMENT_BYTES,
             chaos_torn_tail: false,
             chaos_fsync_delay: None,
         }
     }
 }
+
+/// Maximum parsed requests per batched transaction attempt.
+const MAX_BATCH: usize = 16;
 
 /// How often [`ServerHandle::wait`] re-checks the shutdown flag.
 const WAIT_POLL: Duration = Duration::from_millis(50);
@@ -147,7 +130,6 @@ const TOKEN_LISTENER: u64 = 1;
 struct Shared {
     engine: Engine,
     shutdown: AtomicBool,
-    max_batch: usize,
     reactor: ReactorMetrics,
     inboxes: Vec<ShardInbox>,
     acceptor_wakeup: Wakeup,
@@ -159,7 +141,6 @@ impl std::fmt::Debug for Shared {
         f.debug_struct("Shared")
             .field("engine", &self.engine)
             .field("shutdown", &self.shutdown)
-            .field("max_batch", &self.max_batch)
             .finish_non_exhaustive()
     }
 }
@@ -218,7 +199,6 @@ impl Server {
         let shared = Arc::new(Shared {
             engine: Engine::open(&config)?,
             shutdown: AtomicBool::new(false),
-            max_batch: config.max_batch.max(1),
             reactor: ReactorMetrics::new(shard_count),
             inboxes,
             acceptor_wakeup: Wakeup::new()?,
@@ -657,7 +637,11 @@ fn feed_line(shared: &Shared, line: &str, state: &mut ConnState, segs: &mut Vec<
 /// call: the pending commit batch plus the stage bookkeeping that turns
 /// each flush into a [`Waterfall`].
 struct FlushWindow {
-    pending: Vec<(Unit, bool, Instant, bool)>,
+    /// The pending units, kept contiguous so the engine can borrow them.
+    units: Vec<Unit>,
+    /// Per pending unit: whether it is a MULTI block, its parse stamp, and
+    /// whether it asked for a waterfall echo.
+    pending: Vec<(bool, Instant, bool)>,
     pending_ops: usize,
     /// Parse time accumulated for the pending units (per-request deltas
     /// between parse stamps).
@@ -672,13 +656,14 @@ struct FlushWindow {
 }
 
 /// Execute the burst: group consecutive `Run` segments into commit
-/// batches of at most `max_batch` requests, keep every response in
+/// batches of at most [`MAX_BATCH`] requests, keep every response in
 /// request order, record per-request service latency and per-stage
 /// waterfall timings, and encode for the connection's wire.
 fn run_segments(shared: &Shared, segs: Vec<Seg>, wire: Wire, ctx: &StageCtx) -> Vec<u8> {
     let engine = &shared.engine;
     let mut out: Vec<u8> = Vec::new();
     let mut window = FlushWindow {
+        units: Vec::new(),
         pending: Vec::new(),
         pending_ops: 0,
         parse_ns: 0,
@@ -699,8 +684,9 @@ fn run_segments(shared: &Shared, segs: Vec<Seg>, wire: Wire, ctx: &StageCtx) -> 
                 engine.record_stage(Phase::Parse, parse_ns);
                 window.parse_ns += parse_ns;
                 window.pending_ops += unit.ops.len();
-                window.pending.push((unit, is_multi, stamp, echo));
-                if window.pending_ops >= shared.max_batch {
+                window.units.push(unit);
+                window.pending.push((is_multi, stamp, echo));
+                if window.pending_ops >= MAX_BATCH {
                     flush_window(shared, wire, ctx, &mut out, &mut window);
                 }
             }
@@ -738,14 +724,13 @@ fn flush_window(
     let engine = &shared.engine;
     let batch_ops = window.pending_ops;
     engine.record_batch_occupancy(batch_ops as u64);
-    let last_stamp = window.pending.last().expect("pending checked non-empty").2;
+    let last_stamp = window.pending.last().expect("pending checked non-empty").1;
     let exec_start = Instant::now();
-    for (_, _, stamp, _) in window.pending.iter() {
+    for (_, stamp, _) in window.pending.iter() {
         let wait = exec_start.saturating_duration_since(*stamp).as_nanos() as u64;
         engine.record_stage(Phase::BatchWait, wait);
     }
-    let units: Vec<Unit> = window.pending.iter().map(|(unit, _, _, _)| unit.clone()).collect();
-    let (responses, breakdown) = engine.execute_stages(&units);
+    let (responses, breakdown) = engine.execute_stages(&window.units);
     let done = Instant::now();
     engine.record_stage(Phase::StmExec, breakdown.stm_exec_ns);
     engine.record_stage(Phase::WalAppend, breakdown.wal_append_ns);
@@ -774,9 +759,10 @@ fn flush_window(
     // encode time: resp_encode and sock_flush are still zero (they have
     // not happened yet); the exemplar copy recorded below includes them.
     let echo_json: Option<String> =
-        window.pending.iter().any(|(_, _, _, echo)| *echo).then(|| wf.to_json().to_json());
+        window.pending.iter().any(|(_, _, echo)| *echo).then(|| wf.to_json().to_json());
     let encode_start = done;
-    for ((unit, is_multi, stamp, echo), resps) in window.pending.drain(..).zip(responses) {
+    let pending = window.units.drain(..).zip(window.pending.drain(..));
+    for ((unit, (is_multi, stamp, echo)), resps) in pending.zip(responses) {
         let elapsed = done.duration_since(stamp).as_nanos() as u64;
         if unit.ops.is_empty() {
             engine.latency.record(elapsed); // empty EXEC

@@ -3,21 +3,16 @@
 
 use proust_bench::args::{Args, LapChoice, UpdateChoice};
 use proust_server::{Baseline, Server, ServerConfig};
-use proust_stm::{CmPolicy, RetryExhaustion};
 
 const USAGE: &str = "\
 usage: proust-server [--addr HOST:PORT] [--lap pessimistic|optimistic]
                      [--update eager|lazy]
                      [--baseline stm|predication|boosted|coarse]
-                     [--cm backoff|karma|greedy|serial]
-                     [--exhaustion serial|giveup] [--max-retries N]
                      [--shards N]
-                     [--max-batch N] [--batch-patience N]
                      [--metrics-addr HOST:PORT] [--slow-threshold MS]
                      [--trace-sample N]
                      [--data-dir PATH] [--fsync-policy batch|always|off]
-                     [--wal-segment-bytes N] [--chaos-torn-tail]
-                     [--chaos-fsync-delay-ms N]";
+                     [--chaos-torn-tail] [--chaos-fsync-delay-ms N]";
 
 fn config_from_args() -> ServerConfig {
     let mut config = ServerConfig::default();
@@ -42,23 +37,7 @@ fn config_from_args() -> ServerConfig {
                         .unwrap_or_else(|| args.fail(format!("unknown --baseline value {raw:?}"))),
                 );
             }
-            "--cm" => {
-                let raw = args.value("--cm");
-                config.cm = CmPolicy::parse(&raw)
-                    .unwrap_or_else(|| args.fail(format!("unknown --cm value {raw:?}")));
-            }
-            "--exhaustion" => {
-                let raw = args.value("--exhaustion");
-                config.exhaustion = match raw.as_str() {
-                    "serial" => RetryExhaustion::SerialFallback,
-                    "giveup" => RetryExhaustion::GiveUp,
-                    _ => args.fail(format!("unknown --exhaustion value {raw:?}")),
-                };
-            }
-            "--max-retries" => config.max_retries = args.parsed("--max-retries"),
             "--shards" => config.shards = args.parsed("--shards"),
-            "--max-batch" => config.max_batch = args.parsed("--max-batch"),
-            "--batch-patience" => config.batch_patience = args.parsed("--batch-patience"),
             "--metrics-addr" => config.metrics_addr = Some(args.value("--metrics-addr")),
             "--slow-threshold" => {
                 let ms: u64 = args.parsed("--slow-threshold");
@@ -72,9 +51,6 @@ fn config_from_args() -> ServerConfig {
                 let raw = args.value("--fsync-policy");
                 config.fsync_policy = proust_wal::FsyncPolicy::parse(&raw)
                     .unwrap_or_else(|| args.fail(format!("unknown --fsync-policy value {raw:?}")));
-            }
-            "--wal-segment-bytes" => {
-                config.wal_segment_bytes = args.parsed("--wal-segment-bytes");
             }
             "--chaos-torn-tail" => config.chaos_torn_tail = true,
             "--chaos-fsync-delay-ms" => {

@@ -30,8 +30,8 @@
 //! ```
 //!
 //! Malformed input earns `ERR <reason>`; a request whose transaction
-//! exhausts its retry budget (only possible under `--exhaustion giveup`)
-//! earns `BUSY`, which is accounted separately from protocol errors.
+//! fails even in the STM's serial-irrevocable fallback earns `BUSY`,
+//! which is accounted separately from protocol errors.
 //! Maps, counters, queues, and ordered maps live in separate namespaces,
 //! so a name never changes kind. `SCAN` ranges are half-open; reversed
 //! bounds (`lo > hi`) are rejected at parse time, mirroring the wrapper's

@@ -4,7 +4,14 @@ use std::cell::Cell;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 
-use crate::config::BackoffConfig;
+/// Busy-spin iterations for the first retry.
+const MIN_SPINS: u64 = 32;
+/// Cap on spin iterations; the window doubles per consecutive conflict
+/// until it reaches this.
+const MAX_SPINS: u64 = 1 << 14;
+/// After this many consecutive conflicts the loop yields the thread to the
+/// scheduler between attempts instead of pure spinning.
+const YIELD_AFTER: u32 = 8;
 
 /// Per-`atomically` backoff state. Uses a xorshift PRNG (no external
 /// dependencies) to jitter the spin window so colliding transactions
@@ -15,14 +22,13 @@ use crate::config::BackoffConfig;
 /// the runtime.
 #[derive(Debug)]
 pub struct Backoff {
-    config: BackoffConfig,
     rng: u64,
 }
 
 impl Backoff {
-    pub(crate) fn new(config: BackoffConfig, seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         // Avoid the all-zero xorshift fixed point.
-        Backoff { config, rng: seed | 1 }
+        Backoff { rng: seed | 1 }
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -38,12 +44,9 @@ impl Backoff {
     /// *failures* so far).
     pub fn wait(&mut self, attempt: u32) {
         let shift = attempt.saturating_sub(1).min(20);
-        let window = (self.config.min_spins as u64)
-            .saturating_mul(1u64 << shift)
-            .min(self.config.max_spins as u64)
-            .max(1);
+        let window = MIN_SPINS.saturating_mul(1u64 << shift).min(MAX_SPINS);
         let spins = self.next_rand() % window + 1;
-        if attempt > self.config.yield_after {
+        if attempt > YIELD_AFTER {
             std::thread::yield_now();
         }
         for _ in 0..spins {
@@ -90,7 +93,7 @@ mod tests {
 
     #[test]
     fn wait_terminates_even_for_huge_attempts() {
-        let mut b = Backoff::new(BackoffConfig::default(), 42);
+        let mut b = Backoff::new(42);
         for attempt in [1, 2, 10, 100, u32::MAX] {
             b.wait(attempt);
         }
@@ -98,7 +101,7 @@ mod tests {
 
     #[test]
     fn rng_produces_varied_values() {
-        let mut b = Backoff::new(BackoffConfig::default(), 7);
+        let mut b = Backoff::new(7);
         let a = b.next_rand();
         let c = b.next_rand();
         assert_ne!(a, c);
@@ -106,7 +109,7 @@ mod tests {
 
     #[test]
     fn zero_seed_is_coerced_nonzero() {
-        let mut b = Backoff::new(BackoffConfig::default(), 0);
+        let mut b = Backoff::new(0);
         assert_ne!(b.next_rand(), 0);
     }
 
@@ -118,8 +121,8 @@ mod tests {
         let a = decorrelated_seed(birth);
         let b = decorrelated_seed(birth);
         assert_ne!(a, b, "same-tick seeds must diverge");
-        let mut ba = Backoff::new(BackoffConfig::default(), a);
-        let mut bb = Backoff::new(BackoffConfig::default(), b);
+        let mut ba = Backoff::new(a);
+        let mut bb = Backoff::new(b);
         assert_ne!(ba.next_rand(), bb.next_rand());
     }
 

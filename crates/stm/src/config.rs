@@ -1,5 +1,5 @@
 //! Runtime configuration: conflict-detection backend selection and
-//! contention-management knobs.
+//! contention-management policy.
 
 /// Which conflict-detection strategy the runtime uses.
 ///
@@ -60,25 +60,6 @@ impl ConflictDetection {
     }
 }
 
-/// Contention-management (backoff) parameters for the retry loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffConfig {
-    /// Number of busy-spin iterations for the first retry.
-    pub min_spins: u32,
-    /// Upper bound on spin iterations; the window doubles per consecutive
-    /// conflict until it reaches this cap.
-    pub max_spins: u32,
-    /// After this many consecutive conflicts the loop yields the thread to
-    /// the scheduler between attempts instead of pure spinning.
-    pub yield_after: u32,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        BackoffConfig { min_spins: 32, max_spins: 1 << 14, yield_after: 8 }
-    }
-}
-
 /// What `atomically` does when [`StmConfig::max_retries`] is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RetryExhaustion {
@@ -109,8 +90,6 @@ pub struct StmConfig {
     pub detection: ConflictDetection,
     /// Contention-management policy consulted at every conflict raise site.
     pub cm: crate::cm::CmPolicy,
-    /// Backoff parameters for conflict retries.
-    pub backoff: BackoffConfig,
     /// If set, `atomically` stops optimistic retrying after this many failed
     /// attempts and applies [`StmConfig::on_exhaustion`]. `None` retries
     /// forever, the conventional STM contract.

@@ -72,7 +72,7 @@ mod wake;
 
 pub use backoff::Backoff;
 pub use cm::{CmArbitration, CmPolicy, Contender, ContentionManager, TxnHandle};
-pub use config::{BackoffConfig, ConflictDetection, RetryExhaustion, StmConfig};
+pub use config::{ConflictDetection, RetryExhaustion, StmConfig};
 pub use error::{AbortError, AbortKind, ConflictKind, TxError, TxResult};
 pub use forensics::{take_forensics, TxnForensics};
 pub use local::TxnLocal;

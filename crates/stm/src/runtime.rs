@@ -399,7 +399,7 @@ impl Stm {
     ) -> Result<A, AbortError> {
         let _in_flight = InFlightGuard::new(&self.inner.in_flight);
         let birth = clock::now();
-        let mut backoff = Backoff::new(self.inner.config.backoff, decorrelated_seed(birth));
+        let mut backoff = Backoff::new(decorrelated_seed(birth));
         let mut attempt: u32 = 0;
         let mut carried_work: u64 = 0;
         let mut last_conflict: Option<ConflictKind> = None;

@@ -455,11 +455,25 @@ fn overhead_pass(threads: usize, secs: f64) -> f64 {
 /// `proust-server` driven closed-loop over the binary wire. Returns
 /// committed ops per second. A fresh server per pass keeps the INC
 /// expected-value check valid (counters start at zero each time).
-fn overhead_server_pass(threads: usize, secs: f64, waterfall_sample: usize) -> Result<f64, String> {
+///
+/// `trace_sample` is the server's flight-recorder rate; starting a server
+/// reprograms the process-global tracer, so the baseline pass must pass
+/// 0 here or it samples like the other passes do.
+fn overhead_server_pass(
+    threads: usize,
+    secs: f64,
+    trace_sample: u64,
+    waterfall_sample: usize,
+) -> Result<f64, String> {
     use proust_loadgen::LoadConfig;
     use proust_server::{Server, ServerConfig};
 
-    let handle = Server::start(ServerConfig::default()).map_err(|err| err.to_string())?;
+    let handle = Server::start(ServerConfig { trace_sample, ..ServerConfig::default() })
+        .map_err(|err| err.to_string())?;
+    if trace_sample == 0 && proust_obs::Tracer::global().is_enabled() {
+        handle.shutdown();
+        return Err("baseline pass started with the tracer enabled".to_string());
+    }
     let config = LoadConfig {
         addr: handle.addr().to_string(),
         threads,
@@ -572,7 +586,7 @@ fn run_overhead(args: &[String]) -> ExitCode {
     // best-of interleaving to shed scheduler noise on small runners.
     const SERVER_ROUNDS: usize = 4;
     let server_threads = 4usize;
-    if let Err(err) = overhead_server_pass(server_threads, (secs / 4.0).min(0.5), 0) {
+    if let Err(err) = overhead_server_pass(server_threads, (secs / 4.0).min(0.5), 0, 0) {
         eprintln!("overhead: binary-wire warmup failed: {err}");
         return ExitCode::FAILURE;
     }
@@ -582,16 +596,14 @@ fn run_overhead(args: &[String]) -> ExitCode {
     for _ in 0..SERVER_ROUNDS {
         tracer.disable();
         tracer.clear();
-        match overhead_server_pass(server_threads, secs, 0) {
+        match overhead_server_pass(server_threads, secs, 0, 0) {
             Ok(rps) => wire_baseline = wire_baseline.max(rps),
             Err(err) => {
                 eprintln!("overhead: binary-wire baseline pass failed: {err}");
                 return ExitCode::FAILURE;
             }
         }
-        tracer.set_sample_every(sample_every);
-        tracer.enable();
-        match overhead_server_pass(server_threads, secs, 0) {
+        match overhead_server_pass(server_threads, secs, sample_every, 0) {
             Ok(rps) => wire_sampled = wire_sampled.max(rps),
             Err(err) => {
                 eprintln!("overhead: binary-wire sampled pass failed: {err}");
@@ -602,7 +614,7 @@ fn run_overhead(args: &[String]) -> ExitCode {
         // Nth request carries the TRACE flag — the request's waterfall is
         // rendered to JSON and echoed as an extra INFO frame. This is the
         // full request-anatomy telemetry path switched on at once.
-        match overhead_server_pass(server_threads, secs, sample_every as usize) {
+        match overhead_server_pass(server_threads, secs, sample_every, sample_every as usize) {
             Ok(rps) => wire_waterfall = wire_waterfall.max(rps),
             Err(err) => {
                 eprintln!("overhead: binary-wire waterfall pass failed: {err}");
